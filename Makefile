@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels trace-smoke chaos-smoke serve-smoke cluster-smoke failover-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels perfbench-test trace-smoke chaos-smoke serve-smoke cluster-smoke failover-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -48,6 +48,13 @@ bench:
 # for a real measurement.
 bench-kernels:
 	$(GO) test -race -run='^$$' -bench BenchmarkBatchNTT -benchtime=1x ./internal/ntt/
+
+# The repository benchmark's own tests (its own module under perfbench/):
+# tiny runs of every workload, whose outputs are checked bit for bit
+# against perfbench/golden, so any change to a schedule or simulation
+# result fails here.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # Machine-readable benchmark report (fast mode) and regression diff
 # against the committed baseline.

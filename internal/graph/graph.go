@@ -9,8 +9,8 @@
 package graph
 
 import (
+	"container/heap"
 	"fmt"
-	"sort"
 )
 
 // OpKind enumerates the primitive FHE operator types.
@@ -223,42 +223,87 @@ func (g *Graph) ComputeNodes() []*Node {
 	return out
 }
 
-// Topological returns a deterministic topological ordering (Kahn's
-// algorithm with ID tie-breaking). It panics on cycles, which would be a
-// builder bug.
-func (g *Graph) Topological() []*Node {
-	indeg := make(map[*Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n] = len(n.InEdges)
-	}
-	var ready []*Node
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+// Index maps the nodes of one graph to their positions in Graph.Nodes,
+// so per-node state can live in slices instead of maps. AddNode assigns
+// IDs densely, which makes the ID the position; a graph whose IDs were
+// set by hand falls back to a map. Of returns -1 for a node that is not
+// in the graph.
+type Index struct {
+	nodes []*Node
+	pos   map[*Node]int // nil when every node's ID is its position
+}
+
+// Index builds the node index of the graph's current node set.
+func (g *Graph) Index() Index {
+	for i, n := range g.Nodes {
+		if n.ID != i {
+			pos := make(map[*Node]int, len(g.Nodes))
+			for i, n := range g.Nodes {
+				pos[n] = i
+			}
+			return Index{nodes: g.Nodes, pos: pos}
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
+	return Index{nodes: g.Nodes}
+}
+
+// Of returns the position of n in Graph.Nodes, or -1.
+func (x Index) Of(n *Node) int {
+	if x.pos == nil && uint(n.ID) < uint(len(x.nodes)) && x.nodes[n.ID] == n {
+		return n.ID
+	}
+	return x.slow(n)
+}
+
+func (x Index) slow(n *Node) int {
+	if i, ok := x.pos[n]; ok {
+		return i
+	}
+	return -1
+}
+
+// Topological returns a deterministic topological ordering (Kahn's
+// algorithm that always emits the ready node with the lowest ID). It
+// panics on cycles, which would be a builder bug.
+func (g *Graph) Topological() []*Node {
+	idx := g.Index()
+	indeg := make([]int, len(g.Nodes))
+	ready := make(nodeHeap, 0, len(g.Nodes))
+	for i, n := range g.Nodes {
+		indeg[i] = len(n.InEdges)
+		if indeg[i] == 0 {
+			heap.Push(&ready, n)
+		}
+	}
 	out := make([]*Node, 0, len(g.Nodes))
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+		n := heap.Pop(&ready).(*Node)
 		out = append(out, n)
-		inserted := false
 		for _, e := range n.OutEdges {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-				inserted = true
+			if i := idx.Of(e.To); i >= 0 {
+				if indeg[i]--; indeg[i] == 0 {
+					heap.Push(&ready, e.To)
+				}
 			}
-		}
-		if inserted {
-			sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
 		}
 	}
 	if len(out) != len(g.Nodes) {
 		panic("graph: cycle detected")
 	}
 	return out
+}
+
+// nodeHeap is a min-heap of nodes by ID (container/heap).
+type nodeHeap []*Node
+
+func (h nodeHeap) Len() int           { return len(h) }
+func (h nodeHeap) Less(i, j int) bool { return h[i].ID < h[j].ID }
+func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(*Node)) }
+func (h *nodeHeap) Pop() any {
+	n := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return n
 }
 
 // TotalModMuls sums the modular-multiplication load over all nodes.

@@ -124,19 +124,22 @@ func mapOnMesh(group *sched.GroupSchedule, w, h int) (*Placement, error) {
 	// Split the pipeline at transpose operators into segments; each
 	// segment alternates direction (Figure 4).
 	var segments [][]*graph.Node
-	cur := []*graph.Node{}
-	for _, n := range nodes {
-		if n.Kind == graph.OpTranspose {
-			if len(cur) > 0 {
-				segments = append(segments, cur)
-			}
-			cur = []*graph.Node{}
-			continue // the transpose itself runs on the transpose unit
+	var allocs [][]int // each segment's slice of group.PEAlloc (nil without one)
+	lo := 0
+	for i := 0; i <= len(nodes); i++ {
+		if i < len(nodes) && nodes[i].Kind != graph.OpTranspose {
+			continue
 		}
-		cur = append(cur, n)
-	}
-	if len(cur) > 0 {
-		segments = append(segments, cur)
+		// nodes[i] is a transpose (it runs on the transpose unit) or the end.
+		if i > lo {
+			segments = append(segments, nodes[lo:i])
+			var a []int
+			if group.PEAlloc != nil {
+				a = group.PEAlloc[lo:i]
+			}
+			allocs = append(allocs, a)
+		}
+		lo = i + 1
 	}
 	if len(segments) == 0 {
 		// Group of only transposes: nothing to place on PEs.
@@ -172,7 +175,7 @@ func mapOnMesh(group *sched.GroupSchedule, w, h int) (*Placement, error) {
 		}
 		band := Band{Row0: row, Rows: rows, LeftToRight: i%2 == 0}
 		p.Bands = append(p.Bands, band)
-		placeSegment(p, seg, group.PEAlloc, band, w)
+		placeSegment(p, seg, allocs[i], band, w)
 		row += rows
 		if row >= h {
 			row = h - 1
@@ -182,17 +185,18 @@ func mapOnMesh(group *sched.GroupSchedule, w, h int) (*Placement, error) {
 }
 
 // placeSegment assigns columns of a band to the segment's operators in
-// order, walking left→right or right→left.
-func placeSegment(p *Placement, seg []*graph.Node, alloc map[int]int, band Band, w int) {
+// order, walking left→right or right→left. alloc is the operators' PE
+// allocation, aligned with seg; nil requests one PE each.
+func placeSegment(p *Placement, seg []*graph.Node, alloc []int, band Band, w int) {
 	// Total PEs available in the band.
 	avail := band.Rows * w
 	// Requested PEs, clamped into the band.
 	want := 0
 	req := make([]int, len(seg))
-	for i, n := range seg {
-		a := alloc[n.ID]
-		if a < 1 {
-			a = 1
+	for i := range seg {
+		a := 1
+		if alloc != nil && alloc[i] > 1 {
+			a = alloc[i]
 		}
 		req[i] = a
 		want += a

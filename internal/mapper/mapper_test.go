@@ -58,7 +58,7 @@ func TestMapValidation(t *testing.T) {
 	}
 	gr := graph.New()
 	n := gr.AddNode(graph.OpEWMul, "m", graph.Tensor{Digits: 1, Limbs: 1, N: 8})
-	g2 := &sched.GroupSchedule{Nodes: []*graph.Node{n}, PEAlloc: map[int]int{}}
+	g2 := &sched.GroupSchedule{Nodes: []*graph.Node{n}}
 	if _, err := Map(g2, 0, 8); err == nil {
 		t.Error("invalid mesh should fail")
 	}
@@ -79,7 +79,7 @@ func TestTransposeSplitsBands(t *testing.T) {
 
 	g := &sched.GroupSchedule{
 		Nodes:   []*graph.Node{col, tw, tr, row},
-		PEAlloc: map[int]int{col.ID: 8, tw.ID: 4, tr.ID: 1, row.ID: 8},
+		PEAlloc: []int{8, 4, 1, 8},
 	}
 	pl, err := Map(g, 8, 8)
 	if err != nil {
@@ -129,11 +129,10 @@ func TestMapOversubscribedGroupScalesDown(t *testing.T) {
 	gr := graph.New()
 	shape := graph.Tensor{Digits: 1, Limbs: 4, N: 4096}
 	var nodes []*graph.Node
-	alloc := map[int]int{}
+	var alloc []int
 	for i := 0; i < 4; i++ {
-		n := gr.AddNode(graph.OpEWMul, "m", shape)
-		nodes = append(nodes, n)
-		alloc[n.ID] = 10
+		nodes = append(nodes, gr.AddNode(graph.OpEWMul, "m", shape))
+		alloc = append(alloc, 10)
 	}
 	g := &sched.GroupSchedule{Nodes: nodes, PEAlloc: alloc}
 	pl, err := Map(g, 4, 2) // only 8 PEs for 40 requested

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"crophe/internal/graph"
@@ -14,26 +16,26 @@ import (
 // back-to-back and land in one group, so the evk is streamed once.
 // A graph with a dependency cycle yields a *CycleError.
 func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
-	indeg := make(map[*graph.Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n] = len(n.InEdges)
-	}
-	var ready []*graph.Node
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
+	at := g.Index()
+	indeg := make([]int, len(g.Nodes))
+	ready := make([]*graph.Node, 0, len(g.Nodes)) // kept sorted by ID
+	for i, n := range g.Nodes {
+		indeg[i] = len(n.InEdges)
+		if indeg[i] == 0 {
 			ready = append(ready, n)
 		}
 	}
-	sortByID(ready)
+	slices.SortFunc(ready, func(a, b *graph.Node) int { return cmp.Compare(a.ID, b.ID) })
 
 	out := make([]*graph.Node, 0, len(g.Nodes))
 	visited := 0
 	lastAux := ""
-	// recent holds the last few emitted nodes; consuming their outputs
-	// keeps intermediate live ranges short (the loop-interleaving freedom
-	// of the paper's scheduler: a baby-step ciphertext's PMults run
-	// back-to-back instead of once per giant step).
-	var recent []*graph.Node
+	// recent holds the last few emitted compute nodes, as a ring;
+	// consuming their outputs keeps intermediate live ranges short (the
+	// loop-interleaving freedom of the paper's scheduler: a baby-step
+	// ciphertext's PMults run back-to-back instead of once per giant
+	// step).
+	var recent [6]*graph.Node
 	for len(ready) > 0 {
 		idx, bestScore := 0, -1
 		for i, n := range ready {
@@ -59,23 +61,16 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 		ready = append(ready[:idx], ready[idx+1:]...)
 		visited++
 		if n.Kind.IsCompute() {
+			recent[len(out)%len(recent)] = n
 			out = append(out, n)
 			lastAux = primaryAux(n)
-			recent = append(recent, n)
-			if len(recent) > 6 {
-				recent = recent[1:]
-			}
 		}
-		inserted := false
 		for _, e := range n.OutEdges {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-				inserted = true
+			if i := at.Of(e.To); i >= 0 {
+				if indeg[i]--; indeg[i] == 0 {
+					ready = insertByID(ready, e.To)
+				}
 			}
-		}
-		if inserted {
-			sortByID(ready)
 		}
 	}
 	// A well-formed operator graph is a DAG; leftovers mean a dependency
@@ -108,6 +103,11 @@ func primaryAux(n *graph.Node) string {
 	return best
 }
 
-func sortByID(ns []*graph.Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
+// insertByID inserts n into ns, which is sorted by ID, keeping it sorted.
+func insertByID(ns []*graph.Node, n *graph.Node) []*graph.Node {
+	i := sort.Search(len(ns), func(i int) bool { return ns[i].ID > n.ID })
+	ns = append(ns, nil)
+	copy(ns[i+1:], ns[i:])
+	ns[i] = n
+	return ns
 }

@@ -17,7 +17,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -145,7 +147,10 @@ type GroupSchedule struct {
 	Traffic   Traffic
 	Pipelined int // intra-group fine-pipelined edges
 	AuxShared int // aux fetches saved by intra-group sharing
-	PEAlloc   map[int]int
+	// PEAlloc is the PE count of each operator, aligned with Nodes. It is
+	// nil when the group does not split the array: solo operators, MAD
+	// groups and the specialised baselines.
+	PEAlloc []int
 	// ResidentBytes is the SRAM working set the group occupies while it
 	// runs: materialised intermediates (whole tensors) for coarse
 	// dataflow, granule buffers for fine-grained pipelines. This crowds
@@ -264,7 +269,7 @@ func (st *searchState) markCut() {
 // Scheduler.WithTelemetry) mirrors them as counters.
 var (
 	statCandidates atomic.Uint64 // candidate groups costed by the DP
-	statPruned     atomic.Uint64 // candidates rejected as infeasible
+	statPruned     atomic.Uint64 // candidates rejected as infeasible (none yet)
 	statCacheHits  atomic.Uint64 // segment-schedule memo hits
 	statCacheMiss  atomic.Uint64 // segment-schedule memo misses
 )
@@ -287,7 +292,9 @@ func Stats() SearchStats {
 	}
 }
 
-// Scheduler binds a hardware configuration and options.
+// Scheduler binds a hardware configuration and options. A Scheduler is
+// single-goroutine: its segment memo and costing scratch are unguarded,
+// so concurrent callers each build their own with New.
 type Scheduler struct {
 	HW  *arch.HWConfig
 	Opt Options
@@ -306,6 +313,9 @@ type Scheduler struct {
 	// is bound to one hardware configuration and option set, so the
 	// fingerprint alone suffices within one instance.
 	segCache map[segKey]*SegmentSchedule
+
+	// cost is the candidate-costing scratch, reused across segments.
+	cost coster
 }
 
 type segKey struct {
@@ -541,23 +551,22 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	}
 
 	// DP over the topological order: best[i] = minimal time to schedule
-	// nodes[0..i).
-	type cell struct {
-		time   float64
-		prev   int
-		group  *GroupSchedule
-		hasVal bool
-	}
-	best := make([]cell, n+1)
+	// nodes[0..i). Each row grows one window from nodes[i] and prices it
+	// at every size k, so a candidate costs O(degree) and allocates
+	// nothing; only the winning windows become GroupSchedules.
+	c := &s.cost
+	c.reset(hw, s.Opt, seg.G, nodes)
+	best := c.best
 	best[0] = cell{hasVal: true}
 	// Search telemetry accumulates locally inside the DP loop (the hot
 	// path) and publishes once per segment below.
-	var candidates, pruned uint64
+	var candidates uint64
 	for i := 0; i < n; i++ {
 		if !best[i].hasVal {
 			continue
 		}
 		st.poll()
+		w := window{start: i}
 		for k := 1; k <= maxK && i+k <= n; k++ {
 			// Solo groups are the always-feasible fallback and run even
 			// after the anytime cut; multi-operator candidates are the
@@ -566,39 +575,41 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 				break
 			}
 			candidates++
-			g := s.costGroup(hw, seg.G, nodes[i:i+k])
-			if g == nil {
-				pruned++
-				continue
-			}
-			t := best[i].time + g.TimeSec
+			c.grow(&w)
+			groupSec, _ := c.price(&w)
+			t := best[i].time + groupSec
 			if !best[i+k].hasVal || t < best[i+k].time {
-				best[i+k] = cell{time: t, prev: i, group: g, hasVal: true}
+				best[i+k] = cell{time: t, prev: i, hasVal: true}
 			}
 		}
 	}
 	statCandidates.Add(candidates)
-	statPruned.Add(pruned)
 	if s.tel.Enabled() {
 		s.tel.EmitCounter("sched/candidates", float64(candidates))
-		s.tel.EmitCounter("sched/pruned", float64(pruned))
-	}
-	if !best[n].hasVal {
-		// Cannot happen while solo groups are unprunable, but the search
-		// contract allows costGroup to reject, so fail loudly rather than
-		// dereference a hole in the DP table.
-		return SegmentSchedule{}, &InfeasibleError{
-			HW:     hw.Name,
-			Reason: fmt.Sprintf("no feasible group composition for segment %q", seg.Name),
-		}
+		// The cost model has no infeasibility rule, so no candidate is
+		// pruned; the counter stays so reports keep their shape.
+		s.tel.EmitCounter("sched/pruned", 0)
 	}
 
-	// Reconstruct groups.
-	var groups []GroupSchedule
-	for i := n; i > 0; {
-		c := best[i]
-		groups = append([]GroupSchedule{*c.group}, groups...)
-		i = c.prev
+	// Reconstruct the winning windows, filling the groups from the back;
+	// every group's PE split shares one backing array.
+	ngroups, nsplit := 0, 0
+	for i := n; i > 0; i = best[i].prev {
+		ngroups++
+		if size := i - best[i].prev; c.splits(size) {
+			nsplit += size
+		}
+	}
+	groups := make([]GroupSchedule, ngroups)
+	peAlloc := make([]int, nsplit)
+	for i, gi := n, ngroups-1; i > 0; i, gi = best[i].prev, gi-1 {
+		start, size := best[i].prev, i-best[i].prev
+		groups[gi] = c.group(start, size)
+		if c.splits(size) {
+			nsplit -= size
+			groups[gi].PEAlloc = peAlloc[nsplit : nsplit+size : nsplit+size]
+			copy(groups[gi].PEAlloc, c.alloc)
+		}
 	}
 
 	// Degraded pricing (see WithPricing): the composition above was
@@ -609,10 +620,14 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// mapper remaps failed rows onto survivors); the lost compute is
 	// charged through the re-priced stage times.
 	if price != hw {
+		c.hw = price
+		start := 0
 		for gi := range groups {
-			g := s.costGroup(price, seg.G, groups[gi].Nodes)
+			size := len(groups[gi].Nodes)
+			g := c.group(start, size)
 			g.PEAlloc = groups[gi].PEAlloc
-			groups[gi] = *g
+			groups[gi] = g
+			start += size
 		}
 		hw = price
 	}
@@ -635,25 +650,20 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// live range; when their peak footprint exceeds the buffer, the
 	// overflow round-trips through DRAM. This capacity pressure dominates
 	// the Figure 10 sweep.
-	fine := s.Opt.Dataflow == DataflowCROPHE
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, n := range g.Nodes {
-			groupOf[n.ID] = gi
-		}
-	}
+	c.assignGroups(groups)
 	wb := hw.WordBytes()
 	var tensors []matTensor
 	for _, n := range nodes {
-		var crossConsumers []*graph.Edge
+		crossConsumers := c.cross[:0]
 		for _, e := range n.OutEdges {
 			if e.Class != graph.Intermediate || !e.To.Kind.IsCompute() {
 				continue
 			}
-			if groupOf[e.To.ID] != groupOf[n.ID] {
+			if c.groupOf(e.To) != c.groupOf(n) {
 				crossConsumers = append(crossConsumers, e)
 			}
 		}
+		c.cross = crossConsumers
 		if len(crossConsumers) == 0 {
 			continue
 		}
@@ -674,18 +684,18 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 			continue
 		}
 		// Materialised for the span producer group → last consumer group.
-		first := groupOf[n.ID]
+		first := c.groupOf(n)
 		last := first
 		allStream := true
 		for _, e := range crossConsumers {
-			if gi := groupOf[e.To.ID]; gi > last {
+			if gi := c.groupOf(e.To); gi > last {
 				last = gi
 			}
 			if !canPipeline(e, hw) {
 				allStream = false
 			}
 		}
-		if fine && allStream {
+		if c.fine && allStream {
 			// Multicast streaming (Figure 6): every consumer streams at a
 			// matched loop order, so the producer's chunks are multicast
 			// over the NoC (tree multicast, §IV-A) at granule size and
@@ -727,7 +737,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// The policies differ in how many times an aux must be *delivered*:
 	// MAD delivers once per consuming operator; CROPHE's fine-grained
 	// spatial/temporal sharing delivers once per co-running group.
-	aux := s.collectAuxUses(hw, seg, groups)
+	aux := c.auxUses(seg.G, len(groups))
 	// The aux residency budget is the capacity left after the resident
 	// intermediates and the largest granule working set any group pins —
 	// the §VII-C effect: fine-grained pipelining buffers only granules,
@@ -794,56 +804,64 @@ type auxUse struct {
 	uses  int
 }
 
-// collectAuxUses gathers per-aux delivery counts under the active policy.
-func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, groups []GroupSchedule) []auxUse {
-	fine := s.Opt.Dataflow == DataflowCROPHE
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, n := range g.Nodes {
-			groupOf[n.ID] = gi
+// auxUses gathers per-aux delivery counts under the active policy: one
+// delivery per consuming operator for MAD, one per consuming group for
+// CROPHE. The result is sorted by aux ID — the residency greedy sorts by
+// savings with a stable tie order, so the collection order must itself
+// be deterministic. An aux's size is taken from its first edge in node
+// order.
+func (c *coster) auxUses(g *graph.Graph, ngroups int) []auxUse {
+	type edgeUse struct {
+		id    string
+		bytes float64
+		group int
+	}
+	naux := 0
+	for _, n := range g.Nodes {
+		for _, e := range n.OutEdges {
+			if e.Class == graph.Auxiliary {
+				naux++
+			}
 		}
 	}
-	type rec struct {
-		bytes  float64
-		ops    int
-		groups map[int]bool
-	}
-	recs := map[string]*rec{}
-	for _, n := range seg.G.Nodes {
+	uses := make([]edgeUse, 0, naux)
+	for _, n := range g.Nodes {
 		for _, e := range n.OutEdges {
 			if e.Class != graph.Auxiliary {
 				continue
 			}
-			r := recs[e.AuxID]
-			if r == nil {
-				b := e.Shape.Bytes(hw.WordBytes())
-				if isEvk(e.AuxID) {
-					b *= prngEvkFactor // PRNG regeneration of the a-half
-				} else if isPlaintext(e.AuxID) && e.Shape.Limbs > 1 {
-					// OF-Limb [34]: plaintexts are stored at one limb
-					// and extended on-chip.
-					b /= float64(e.Shape.Limbs)
-				}
-				r = &rec{bytes: b, groups: map[int]bool{}}
-				recs[e.AuxID] = r
+			b := e.Shape.Bytes(c.hw.WordBytes())
+			if isEvk(e.AuxID) {
+				b *= prngEvkFactor // PRNG regeneration of the a-half
+			} else if isPlaintext(e.AuxID) && e.Shape.Limbs > 1 {
+				// OF-Limb [34]: plaintexts are stored at one limb
+				// and extended on-chip.
+				b /= float64(e.Shape.Limbs)
 			}
-			r.ops++
-			r.groups[groupOf[e.To.ID]] = true
+			uses = append(uses, edgeUse{id: e.AuxID, bytes: b, group: c.groupOf(e.To)})
 		}
 	}
-	out := make([]auxUse, 0, len(recs))
-	for id, r := range recs {
-		uses := r.ops
-		if fine {
-			uses = len(r.groups)
+	slices.SortStableFunc(uses, func(a, b edgeUse) int { return strings.Compare(a.id, b.id) })
+	// seen[gi] holds the 1-based number of the last aux that group gi
+	// consumed, so distinct groups count without clearing between auxes.
+	seen := make([]int, ngroups)
+	var out []auxUse
+	for lo := 0; lo < len(uses); {
+		run, groups := len(out)+1, 0
+		hi := lo
+		for ; hi < len(uses) && uses[hi].id == uses[lo].id; hi++ {
+			if gi := uses[hi].group; seen[gi] != run {
+				seen[gi] = run
+				groups++
+			}
 		}
-		out = append(out, auxUse{id: id, bytes: r.bytes, uses: uses})
+		n := hi - lo
+		if c.fine {
+			n = groups
+		}
+		out = append(out, auxUse{id: uses[lo].id, bytes: uses[lo].bytes, uses: n})
+		lo = hi
 	}
-	// The residency greedy sorts by savings with a stable tie order, so
-	// the collection order must itself be deterministic or ties resolve
-	// by map iteration order and the chosen residency set flaps run to
-	// run.
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -890,167 +908,6 @@ func isPlaintext(auxID string) bool {
 	return len(auxID) >= 3 && auxID[:3] == "pt:"
 }
 
-// costGroup evaluates one candidate spatial group. Returns nil if the
-// group is infeasible (never happens with the current constraints, but the
-// search contract allows rejection).
-func (s *Scheduler) costGroup(hw *arch.HWConfig, g *graph.Graph, nodes []*graph.Node) *GroupSchedule {
-	inGroup := make(map[*graph.Node]bool, len(nodes))
-	for _, n := range nodes {
-		inGroup[n] = true
-	}
-	fine := s.Opt.Dataflow == DataflowCROPHE
-
-	gs := &GroupSchedule{Nodes: nodes, PEAlloc: map[int]int{}}
-
-	// --- Compute time --------------------------------------------------
-	var totalLoad float64 // modmul-equivalents
-	classLoad := map[arch.OpClass]float64{}
-	for _, n := range nodes {
-		load := effLoad(n)
-		totalLoad += load
-		classLoad[opClassOf(n.Kind)] += load
-	}
-	freq := hw.FreqGHz * 1e9
-	lanesTotal := float64(hw.TotalLanes())
-	var computeSec float64
-	switch {
-	case !hw.Homogeneous:
-		// Specialised baseline: each class limited to its FU share; MAD
-		// fusion overlaps classes within the (small) group.
-		for c, load := range classLoad {
-			share := hw.FUShare[c]
-			if share <= 0 {
-				share = 0.05 // minimal fallback path
-			}
-			t := load / (lanesTotal * share * effSpecialized * freq)
-			if t > computeSec {
-				computeSec = t
-			}
-		}
-	case fine && len(nodes) > 1:
-		// Fine-grained pipeline: PEs allocated proportional to load
-		// (§IV-B); pipeline throughput set by the slowest stage after
-		// integer allocation. Each operator's multi-dimensional
-		// decomposition spreads over at most perOpPECap PEs, so small
-		// groups cannot fill a large array — the utilisation gap CROPHE-p
-		// closes by partitioning the chip into clusters.
-		usable := len(nodes) * perOpPECap
-		if usable > hw.NumPEs {
-			usable = hw.NumPEs
-		}
-		var allocs []int
-		if s.Opt.UniformAlloc {
-			allocs = make([]int, len(nodes))
-			for i := range allocs {
-				allocs[i] = usable / len(nodes)
-				if allocs[i] < 1 {
-					allocs[i] = 1
-				}
-			}
-		} else {
-			allocs = allocatePEs(nodes, usable)
-		}
-		for i, n := range nodes {
-			gs.PEAlloc[n.ID] = allocs[i]
-			load := effLoad(n)
-			if load == 0 {
-				continue
-			}
-			t := load / (float64(allocs[i]) * float64(hw.Lanes) * effPipelined * freq)
-			if t > computeSec {
-				computeSec = t
-			}
-		}
-	default:
-		// Solo operators on the homogeneous array execute sequentially
-		// at reduced efficiency.
-		computeSec = totalLoad / (lanesTotal * effSoloHomogeneous * freq)
-	}
-	gs.Compute = computeSec
-
-	// --- Traffic --------------------------------------------------------
-	// Auxiliary (evk/plaintext/BConv-matrix) traffic is accounted at the
-	// segment level (residency and sharing are cross-group decisions);
-	// costGroup handles intermediates, compute and on-chip movement.
-	wb := hw.WordBytes()
-	var tr Traffic
-	transCapBytes := hw.TransposeMB * 1e6
-
-	for _, n := range nodes {
-		for _, e := range n.InEdges {
-			bytes := e.Shape.Bytes(wb)
-			switch e.Class {
-			case graph.Auxiliary:
-				// Counted in scheduleSegment (residency & sharing).
-			case graph.Intermediate:
-				if !e.From.Kind.IsCompute() {
-					// Segment input: produced by the preceding segment,
-					// read from the global buffer (the segment split is a
-					// search artifact, not a spill).
-					tr.SRAM += bytes
-					continue
-				}
-				if !inGroup[e.From] {
-					// Cross-group edge: accounted in the segment-level
-					// boundary pass (live-range residency).
-					continue
-				}
-				if fine && canPipeline(e, hw) {
-					// Fine-grained forwarding over the NoC: only a
-					// granule is ever buffered.
-					tr.NoC += bytes
-					gs.Pipelined++
-					gs.ResidentBytes += perLimbBytes(e.Shape, wb)
-				} else if !hw.Homogeneous {
-					// Specialised baseline under MAD fusion: the fused
-					// pair forwards through the dedicated inter-unit
-					// datapath, buffering a tensor slice.
-					tr.NoC += bytes
-					gs.ResidentBytes += perLimbBytes(e.Shape, wb)
-				} else if e.From.Kind == graph.OpTranspose || e.To.Kind == graph.OpTranspose {
-					// Through the transpose unit when the working chunk
-					// fits; else the global buffer.
-					if perLimbBytes(e.Shape, wb) <= transCapBytes && transCapBytes > 0 {
-						tr.Transpose += bytes * spillRoundTrip
-					} else {
-						tr.SRAM += bytes * spillRoundTrip
-						gs.ResidentBytes += bytes
-					}
-				} else {
-					// Materialise in the global buffer (orientation
-					// switch or coarse-grained step within the group);
-					// tensors too large for their buffer share spill to
-					// DRAM — the §VII-D penalty of running MAD's
-					// per-operator mapping on the homogeneous array.
-					if bytes <= hw.SRAMCapacityMB*1e6*interSpillFrac {
-						tr.SRAM += bytes * spillRoundTrip
-						gs.ResidentBytes += bytes
-					} else {
-						tr.DRAM += bytes * spillRoundTrip
-					}
-				}
-			}
-		}
-		// Chip outputs are written back to the global buffer for the next
-		// segment.
-		for _, e := range n.OutEdges {
-			if e.Class == graph.Intermediate && !e.To.Kind.IsCompute() {
-				tr.SRAM += e.Shape.Bytes(wb)
-			}
-		}
-	}
-	gs.Traffic = tr
-
-	gs.TimeSec = maxOf(
-		computeSec,
-		tr.DRAM/(hw.DRAMBandwidthTBs*1e12),
-		tr.SRAM/(hw.SRAMBandwidthTBs*1e12),
-		tr.NoC/nocBandwidth(hw),
-		tr.Transpose/(hw.SRAMBandwidthTBs*1e12*0.5),
-	)
-	return gs
-}
-
 // canPipeline reports whether an intermediate edge supports fine-grained
 // forwarding: both endpoints stream (matched top-level loops, §V-A).
 // On the homogeneous CROPHE array, automorphisms run in the inter-lane
@@ -1085,24 +942,18 @@ func effLoad(n *graph.Node) float64 {
 	return load
 }
 
-// allocatePEs distributes PEs to group operators proportionally to their
-// load with a minimum of one each (§IV-B).
-func allocatePEs(nodes []*graph.Node, pes int) []int {
-	loads := make([]float64, len(nodes))
-	var total float64
-	for i, n := range nodes {
-		loads[i] = effLoad(n)
-		total += loads[i]
-	}
-	alloc := make([]int, len(nodes))
+// splitPEs distributes pes PEs over a group's operators in alloc,
+// proportionally to their loads (which sum to total) with a minimum of
+// one each (§IV-B).
+func splitPEs(alloc []int, loads []float64, total float64, pes int) {
 	remaining := pes
 	if total == 0 {
 		for i := range alloc {
 			alloc[i] = 1
 		}
-		return alloc
+		return
 	}
-	for i := range nodes {
+	for i := range alloc {
 		a := int(math.Floor(loads[i] / total * float64(pes)))
 		if a < 1 {
 			a = 1
@@ -1113,7 +964,7 @@ func allocatePEs(nodes []*graph.Node, pes int) []int {
 	// Hand out leftovers (or reclaim overdraft) to the heaviest stages.
 	for remaining != 0 {
 		idx, bestRatio := -1, -1.0
-		for i := range nodes {
+		for i := range alloc {
 			var ratio float64
 			if remaining > 0 {
 				ratio = loads[i] / float64(alloc[i])
@@ -1138,7 +989,6 @@ func allocatePEs(nodes []*graph.Node, pes int) []int {
 			remaining++
 		}
 	}
-	return alloc
 }
 
 // opClassOf maps an operator kind to the baseline functional-unit class.

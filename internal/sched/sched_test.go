@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,19 @@ var testParams = arch.ParamSet{Name: "test", LogN: 14, L: 15, LBoot: 9, DNum: 4,
 
 func bootFactory(mode workload.RotMode, rHyb int) *workload.Workload {
 	return workload.Bootstrapping(testParams, mode, rHyb)
+}
+
+// allocatePEs splits pes PEs over nodes as a group's PE allocation does.
+func allocatePEs(nodes []*graph.Node, pes int) []int {
+	loads := make([]float64, len(nodes))
+	var total float64
+	for i, n := range nodes {
+		loads[i] = effLoad(n)
+		total += loads[i]
+	}
+	alloc := make([]int, len(nodes))
+	splitPEs(alloc, loads, total, pes)
+	return alloc
 }
 
 func TestAllocatePEsProportional(t *testing.T) {
@@ -261,7 +275,8 @@ func TestGroupCostRespectsBaselineShares(t *testing.T) {
 	ntt.SubNTTLen = 65536
 
 	s := New(arch.SHARP, DefaultOptions(DataflowMAD))
-	gs := s.costGroup(arch.SHARP, g, []*graph.Node{ntt})
+	s.cost.reset(arch.SHARP, s.Opt, g, []*graph.Node{ntt})
+	gs := s.cost.group(0, 1)
 	load := float64(ntt.ModMuls())
 	full := load / (float64(arch.SHARP.TotalLanes()) * effSpecialized * arch.SHARP.FreqGHz * 1e9)
 	if gs.Compute <= full {
@@ -291,6 +306,9 @@ func TestAllocatePEsProperty(t *testing.T) {
 			nodes[i] = n
 		}
 		alloc := allocatePEs(nodes, pes)
+		if !slices.Equal(alloc, refAllocatePEs(nodes, pes)) {
+			return false
+		}
 		sum := 0
 		for _, a := range alloc {
 			if a < 1 {
