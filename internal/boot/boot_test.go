@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"crophe/internal/ckks"
@@ -157,6 +158,80 @@ func TestBSGSMatVecHomomorphic(t *testing.T) {
 	got := tc.enc.Decode(tc.decr.Decrypt(out))
 	if e := maxErr(got, want); e > 1e-2 {
 		t.Fatalf("BSGS matvec error %g", e)
+	}
+}
+
+// TestLinearTransformSlotMismatch checks that a transform whose size is
+// not the parameter slot count is refused rather than evaluated on the
+// wrong slots.
+func TestLinearTransformSlotMismatch(t *testing.T) {
+	lt := Identity(8)
+	// Keys for every rotation the 8×8 BSGS needs, so only the slot-count
+	// check (16 slots at logN=5) can refuse it.
+	tc := newTestContext(t, 5, 2, 1, lt.Rotations(), 0)
+	ct, err := ckks.EncryptAtLevel(tc.enc, tc.encr, randomReals(tc.rng, tc.params.Slots(), 1), tc.params.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lt.Evaluate(tc.eval, tc.enc, ct, Hoisting{}); err == nil {
+		t.Fatal("8×8 transform on 16 slots should fail")
+	}
+}
+
+// TestLinearTransformSharedAcrossGoroutines evaluates one transform, whose
+// embedded diagonals start empty, from several goroutines at once and
+// checks every output bit for bit against a serial run on a fresh copy.
+func TestLinearTransformSharedAcrossGoroutines(t *testing.T) {
+	const slots, workers = 16, 6
+	rng := rand.New(rand.NewSource(3))
+	m := make([][]complex128, slots)
+	for i := range m {
+		m[i] = make([]complex128, slots)
+		for j := range m[i] {
+			m[i][j] = complex(rng.Float64()*2-1, 0)
+		}
+	}
+	serial, err := NewLinearTransform(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewLinearTransform(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := newTestContext(t, 5, 2, 1, serial.Rotations(), 0)
+	strategies := []RotationStrategy{MinKS{}, Hoisting{}, Hybrid{RHyb: 2}}
+
+	// Encrypt serially: the Encryptor makes no concurrency promise.
+	inputs := make([]*ckks.Ciphertext, workers)
+	want := make([]*ckks.Ciphertext, workers)
+	for w := range inputs {
+		if inputs[w], err = ckks.EncryptAtLevel(tc.enc, tc.encr, randomReals(tc.rng, slots, 1), tc.params.MaxLevel()); err != nil {
+			t.Fatal(err)
+		}
+		if want[w], err = serial.Evaluate(tc.eval, tc.enc, inputs[w], strategies[w%len(strategies)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := make([]*ckks.Ciphertext, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range inputs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = shared.Evaluate(tc.eval, tc.enc, inputs[w], strategies[w%len(strategies)])
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if ciphertextHash(got[w]) != ciphertextHash(want[w]) {
+			t.Errorf("worker %d: concurrent output differs from the serial run", w)
+		}
 	}
 }
 

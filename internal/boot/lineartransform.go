@@ -8,8 +8,8 @@ package boot
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
 	"crophe/internal/ckks"
 )
@@ -23,6 +23,12 @@ type LinearTransform struct {
 	// Only non-zero diagonals are stored.
 	diags map[int][]complex128
 	n     int
+
+	// encoded[scale][d] holds diagonal d, rotated for its giant step
+	// (Algorithm 1 line 7), embedded at scale: the level-independent
+	// half of its plaintext. Filled on first Evaluate, read-only after.
+	encMu   sync.Mutex
+	encoded map[float64][][]int64
 }
 
 // NewLinearTransform extracts the diagonals of a dense matrix and picks a
@@ -123,13 +129,21 @@ func (lt *LinearTransform) Apply(v []complex128) []complex128 {
 
 // Evaluate computes M × ct homomorphically with the BSGS method of
 // Algorithm 1. The rotation strategy computes the baby-step rotations
-// (Min-KS, Hoisting or Hybrid — all functionally equivalent).
+// (Min-KS, Hoisting or Hybrid — all functionally equivalent). The
+// diagonals are embedded once per scale and reused by later calls, which
+// only lift them to the ciphertext's level; one transform is safe to
+// evaluate from several goroutines at once.
 func (lt *LinearTransform) Evaluate(
 	eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext,
 	strategy RotationStrategy,
 ) (*ckks.Ciphertext, error) {
-	if lt.n != 1<<uint(slotsLog(lt.n)) {
-		return nil, fmt.Errorf("boot: bad slot count %d", lt.n)
+	params := enc.Params()
+	if lt.n != params.Slots() {
+		return nil, fmt.Errorf("boot: %d×%d transform on %d slots", lt.n, lt.n, params.Slots())
+	}
+	diags, err := lt.encodedDiags(enc, params.Scale)
+	if err != nil {
+		return nil, err
 	}
 	// Baby-step rotations ct_i for i = 0..N1-1 (Algorithm 1 lines 1–2).
 	babies, err := strategy.BabyRotations(eval, ct, lt.N1)
@@ -137,29 +151,25 @@ func (lt *LinearTransform) Evaluate(
 		return nil, err
 	}
 
+	// Each diagonal is lifted in turn into this call's scratch plaintext.
+	pt := &ckks.Plaintext{Value: params.RingQ().NewPoly(ct.Level + 1), Scale: params.Scale, Level: ct.Level}
 	var acc *ckks.Ciphertext // ct' (line 3)
 	for j := 0; j < lt.N2; j++ {
 		var inner *ckks.Ciphertext // r (line 5)
 		for i := 0; i < lt.N1; i++ {
-			d := lt.N1*j + i
-			diag, ok := lt.diags[d%lt.n]
-			if !ok {
+			coeffs := diags[lt.N1*j+i]
+			if coeffs == nil {
 				continue
 			}
-			// Rot_{-n1·j}(diag) aligns the diagonal with the un-rotated
-			// giant step (line 7).
-			shifted := rotateSlice(diag, -lt.N1*j)
-			pt, err := enc.Encode(shifted, babies[i].Level)
-			if err != nil {
-				return nil, err
-			}
-			term, err := eval.MulPlain(babies[i], pt)
-			if err != nil {
+			if err := enc.LiftInto(pt, coeffs); err != nil {
 				return nil, err
 			}
 			if inner == nil {
-				inner = term
-			} else if inner, err = eval.Add(inner, term); err != nil {
+				inner, err = eval.MulPlain(babies[i], pt)
+			} else {
+				err = eval.MulPlainAdd(inner, babies[i], pt)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -185,13 +195,29 @@ func (lt *LinearTransform) Evaluate(
 	return eval.Rescale(acc)
 }
 
-func slotsLog(n int) int {
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
+// encodedDiags returns the embedded diagonals at scale, indexed by
+// diagonal (nil where the diagonal is zero), embedding them on first use.
+func (lt *LinearTransform) encodedDiags(enc *ckks.Encoder, scale float64) ([][]int64, error) {
+	lt.encMu.Lock()
+	defer lt.encMu.Unlock()
+	if diags, ok := lt.encoded[scale]; ok {
+		return diags, nil
 	}
-	return l
+	diags := make([][]int64, lt.n)
+	for _, d := range lt.Diagonals() {
+		// Rot_{-n1·j}(diag) aligns the diagonal with the un-rotated
+		// giant step j = d / n1 (line 7).
+		coeffs, err := enc.Embed(rotateSlice(lt.diags[d], -lt.N1*(d/lt.N1)), scale)
+		if err != nil {
+			return nil, err
+		}
+		diags[d] = coeffs
+	}
+	if lt.encoded == nil {
+		lt.encoded = make(map[float64][][]int64)
+	}
+	lt.encoded[scale] = diags
+	return diags, nil
 }
 
 // Identity returns the n×n identity transform, handy in tests.
@@ -216,18 +242,5 @@ func mustLinearTransform(m [][]complex128, role string) *LinearTransform {
 	return lt
 }
 
-// ScaleDiag scales every stored diagonal by c (used to fold constant
-// factors like 1/N into the DFT matrices).
-func (lt *LinearTransform) ScaleDiag(c complex128) {
-	for _, d := range lt.diags {
-		for j := range d {
-			d[j] *= c
-		}
-	}
-}
-
 // NumDiagonals reports how many non-zero diagonals are stored.
 func (lt *LinearTransform) NumDiagonals() int { return len(lt.diags) }
-
-// math import is used by companion files in this package.
-var _ = math.Pi

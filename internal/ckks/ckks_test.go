@@ -210,6 +210,84 @@ func TestPMultAndRescale(t *testing.T) {
 	}
 }
 
+// TestLiftIntoReusesPlaintext checks that lifting into a plaintext that
+// already holds an NTT-form value gives the same residues as a fresh
+// Encode at that level.
+func TestLiftIntoReusesPlaintext(t *testing.T) {
+	tc := newTestContext(t, 6, 3, 1, nil)
+	level := tc.params.MaxLevel() - 1
+	pt, err := tc.enc.Encode(randomValues(tc.rng, tc.params.Slots()), level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := randomValues(tc.rng, tc.params.Slots())
+	coeffs, err := tc.enc.Embed(w, tc.params.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.enc.LiftInto(pt, coeffs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tc.enc.Encode(w, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pt.Value.Equal(want.Value) {
+		t.Fatal("LiftInto into a used plaintext differs from a fresh Encode")
+	}
+	if err := tc.enc.LiftInto(pt, coeffs[1:]); err == nil {
+		t.Error("short coefficient vector should fail")
+	}
+	if _, err := tc.enc.Lift(coeffs, tc.params.MaxLevel()+1, tc.params.Scale); err == nil {
+		t.Error("bad level should fail")
+	}
+}
+
+// TestMulPlainAdd checks the fused accumulate against MulPlain followed
+// by Add, residue for residue, and its scale and level checks.
+func TestMulPlainAdd(t *testing.T) {
+	tc := newTestContext(t, 6, 3, 1, nil)
+	top := tc.params.MaxLevel()
+	slots := tc.params.Slots()
+	ct0, _ := EncryptAtLevel(tc.enc, tc.encr, randomValues(tc.rng, slots), top)
+	ct1, _ := EncryptAtLevel(tc.enc, tc.encr, randomValues(tc.rng, slots), top)
+	pt0, _ := tc.enc.Encode(randomValues(tc.rng, slots), top)
+	pt1, _ := tc.enc.Encode(randomValues(tc.rng, slots), top)
+
+	t0, err := tc.eval.MulPlain(ct0, pt0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := tc.eval.MulPlain(ct1, pt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tc.eval.Add(t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.eval.MulPlainAdd(t0, ct1, pt1); err != nil {
+		t.Fatal(err)
+	}
+	if !t0.B.Equal(want.B) || !t0.A.Equal(want.A) || t0.Scale != want.Scale || t0.Level != want.Level {
+		t.Fatal("MulPlainAdd differs from MulPlain+Add")
+	}
+
+	// Scale mismatch: a fresh ciphertext at Δ against an acc at Δ².
+	if err := tc.eval.MulPlainAdd(ct0, ct1, pt1); err == nil {
+		t.Error("scale mismatch should fail")
+	}
+	// An operand below acc's level cannot cover acc's limbs.
+	low, _ := tc.enc.Encode(randomValues(tc.rng, slots), top-1)
+	if err := tc.eval.MulPlainAdd(t0, ct1, low); err == nil {
+		t.Error("plaintext below acc level should fail")
+	}
+	lowCt, _ := EncryptAtLevel(tc.enc, tc.encr, randomValues(tc.rng, slots), top-1)
+	if err := tc.eval.MulPlainAdd(t0, lowCt, pt1); err == nil {
+		t.Error("ciphertext below acc level should fail")
+	}
+}
+
 func TestHMult(t *testing.T) {
 	tc := newTestContext(t, 7, 3, 2, nil)
 	v0 := randomValues(tc.rng, tc.params.Slots())

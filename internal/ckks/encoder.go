@@ -48,21 +48,34 @@ func NewEncoder(params *Parameters) *Encoder {
 	return e
 }
 
+// Params returns the parameter set the encoder embeds for.
+func (e *Encoder) Params() *Parameters { return e.params }
+
 // Encode embeds values (len ≤ N/2; shorter vectors are zero-padded) into a
 // fresh plaintext at the given level with the parameter scale.
 func (e *Encoder) Encode(values []complex128, level int) (*Plaintext, error) {
 	return e.EncodeAtScale(values, level, e.params.Scale)
 }
 
-// EncodeAtScale is Encode with an explicit scale.
+// EncodeAtScale is Encode with an explicit scale: Embed followed by Lift.
 func (e *Encoder) EncodeAtScale(values []complex128, level int, scale float64) (*Plaintext, error) {
+	coeffs, err := e.Embed(values, scale)
+	if err != nil {
+		return nil, err
+	}
+	return e.Lift(coeffs, level, scale)
+}
+
+// Embed is the level-independent half of encoding: it maps values (len ≤
+// N/2; shorter vectors are zero-padded) through the inverse canonical
+// embedding, scaled by scale and rounded to integer coefficients. The
+// result depends only on N and the scale, so callers that reuse a
+// plaintext at several levels can embed once and Lift per level.
+func (e *Encoder) Embed(values []complex128, scale float64) ([]int64, error) {
 	n := e.params.N()
 	slots := n / 2
 	if len(values) > slots {
 		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), slots)
-	}
-	if level < 0 || level > e.params.MaxLevel() {
-		return nil, fmt.Errorf("ckks: level %d out of range", level)
 	}
 	z := make([]complex128, slots)
 	copy(z, values)
@@ -84,12 +97,37 @@ func (e *Encoder) EncodeAtScale(values []complex128, level int, scale float64) (
 		}
 		coeffs[k] = int64(math.Round(v))
 	}
+	return coeffs, nil
+}
 
-	pt := &Plaintext{Scale: scale, Level: level}
-	pt.Value = e.params.RingQ().NewPoly(level + 1)
-	e.params.RingQ().SetInt64Coeffs(pt.Value, coeffs)
-	e.params.RingQ().NTT(pt.Value)
+// Lift reduces embedded coefficients into a fresh NTT-form plaintext at
+// the given level.
+func (e *Encoder) Lift(coeffs []int64, level int, scale float64) (*Plaintext, error) {
+	if level < 0 || level > e.params.MaxLevel() {
+		return nil, fmt.Errorf("ckks: level %d out of range", level)
+	}
+	pt := &Plaintext{Value: e.params.RingQ().NewPoly(level + 1), Scale: scale, Level: level}
+	if err := e.LiftInto(pt, coeffs); err != nil {
+		return nil, err
+	}
 	return pt, nil
+}
+
+// LiftInto is Lift into an existing plaintext: it overwrites pt's
+// pt.Level+1 limbs with the reduced, NTT-form coefficients. pt.Scale is
+// left to the caller, who knows the scale the coefficients were embedded
+// at.
+func (e *Encoder) LiftInto(pt *Plaintext, coeffs []int64) error {
+	if len(coeffs) != e.params.N() {
+		return fmt.Errorf("ckks: got %d coefficients for ring degree %d", len(coeffs), e.params.N())
+	}
+	if pt.Value.Limbs() != pt.Level+1 {
+		return fmt.Errorf("ckks: plaintext at level %d has %d limbs", pt.Level, pt.Value.Limbs())
+	}
+	rq := e.params.RingQ()
+	rq.SetInt64Coeffs(pt.Value, coeffs)
+	rq.NTT(pt.Value)
+	return nil
 }
 
 // Decode recovers the slot values of a plaintext.

@@ -13,10 +13,11 @@ import (
 // Evaluator executes homomorphic operations. It caches the per-(level,
 // digit) base-conversion tables that ModUp and ModDown use, so the first
 // operation at a level pays the precomputation and subsequent ones do not.
-// The caches are mutex-guarded and every operation writes only freshly
-// allocated outputs, so one Evaluator is safe for concurrent use across
-// goroutines (parameters, keys, and conversion tables are immutable once
-// built).
+// The caches are mutex-guarded and every operation except MulPlainAdd
+// writes only freshly allocated outputs, so one Evaluator is safe for
+// concurrent use across goroutines (parameters, keys, and conversion
+// tables are immutable once built). MulPlainAdd accumulates into its acc
+// argument in place, so acc must be owned by the calling goroutine.
 type Evaluator struct {
 	params *Parameters
 	keys   *EvaluationKeySet
@@ -139,6 +140,28 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	rq.MulHadamard(out.B, ctB, ptV)
 	rq.MulHadamard(out.A, ctA, ptV)
 	return out, nil
+}
+
+// MulPlainAdd sets acc += ct ⊙ pt in place: the fused form of
+// Add(acc, MulPlain(ct, pt)) for accumulating plaintext products, with
+// residues identical to that pair. acc.Scale must match ct.Scale·pt.Scale,
+// and ct and pt must be at or above acc's level; the product is taken on
+// acc's limbs.
+func (ev *Evaluator) MulPlainAdd(acc, ct *Ciphertext, pt *Plaintext) error {
+	if err := checkScales(acc.Scale, ct.Scale*pt.Scale); err != nil {
+		return err
+	}
+	if ct.Level < acc.Level || pt.Level < acc.Level {
+		return fmt.Errorf("ckks: MulPlainAdd operands at levels %d (ct) and %d (pt) are below acc level %d", ct.Level, pt.Level, acc.Level)
+	}
+	limbs := acc.Level + 1
+	rq := ev.params.RingQ()
+	ctB := &poly.Poly{Coeffs: ct.B.Coeffs[:limbs], IsNTT: true}
+	ctA := &poly.Poly{Coeffs: ct.A.Coeffs[:limbs], IsNTT: true}
+	ptV := &poly.Poly{Coeffs: pt.Value.Coeffs[:limbs], IsNTT: true}
+	rq.MulAddHadamard(acc.B, ctB, ptV)
+	rq.MulAddHadamard(acc.A, ctA, ptV)
+	return nil
 }
 
 // AddConst returns ct + c for a real constant c (CAdd): a constant slot
