@@ -98,3 +98,59 @@ func NestedClosure(c *telemetry.Collector) func() {
 	}
 	return func() {}
 }
+
+// TracingGuardsSpans is the simulator's split: spans behind Tracing(),
+// counters behind Enabled().
+func TracingGuardsSpans(c *telemetry.Collector, row int) {
+	if c.Tracing() {
+		c.EmitSpan("PE", fmt.Sprintf("row %d", row), "g0", 0, 10)
+	}
+	if c.Enabled() {
+		c.EmitCounter("sim/groups", 1)
+		if c.Tracing() {
+			c.EmitSpan("PE", "array", "g0", 0, 10)
+		}
+	}
+}
+
+// TracingEarlyReturn guards the rest of the function's spans.
+func TracingEarlyReturn(c *telemetry.Collector) {
+	if !c.Tracing() {
+		return
+	}
+	c.EmitSpan("Fault", "plan", "rows:1", 0, 10)
+}
+
+// TracingGuardDoesNotOutliveBlock: spans after the guarded block are
+// unguarded.
+func TracingGuardDoesNotOutliveBlock(c *telemetry.Collector) {
+	if c.Tracing() {
+		c.EmitSpan("NoC", "links", "g0", 0, 1)
+	}
+	c.EmitSpan("NoC", "links", "g1", 0, 1) // want `unguarded telemetry emission: wrap c.EmitSpan in .if c.Tracing`
+}
+
+// CounterBehindTracing vanishes from counters-only collectors.
+func CounterBehindTracing(c *telemetry.Collector) {
+	if c.Tracing() {
+		c.EmitCounter("noc/sends", 1) // want `telemetry counter behind a Tracing\(\) guard`
+	}
+}
+
+// CounterBehindEnabledAndTracing still vanishes: the inner Tracing()
+// guard decides.
+func CounterBehindEnabledAndTracing(c *telemetry.Collector) {
+	if c.Enabled() {
+		if c.Tracing() {
+			c.EmitCounter("noc/sends", 1) // want `telemetry counter behind a Tracing\(\) guard`
+		}
+	}
+}
+
+// CounterAfterTracingEarlyReturn vanishes the same way.
+func CounterAfterTracingEarlyReturn(c *telemetry.Collector) {
+	if !c.Tracing() {
+		return
+	}
+	c.EmitCounter("sim/groups", 1) // want `telemetry counter behind a Tracing\(\) guard`
+}

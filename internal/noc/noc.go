@@ -14,7 +14,6 @@ package noc
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"crophe/internal/telemetry"
 )
@@ -34,28 +33,46 @@ type Mesh struct {
 	// HopLatency is the per-hop router+wire latency in cycles.
 	HopLatency int
 
-	// linkLoad accumulates bytes per directed link, keyed by the link's
-	// source coordinate and direction.
-	linkLoad map[linkKey]float64
-	// totalLoad is the running Σ over linkLoad, maintained at the update
-	// sites so TotalBytesHops never sums the map in iteration order
-	// (float addition is non-associative, so a map-order sum differs
-	// run to run).
+	// load accumulates bytes per directed link, indexed by link().
+	load []float64
+	// touched marks the links charged since the last Reset, zero-byte
+	// charges included, so drains and counters cover exactly the links a
+	// transfer crossed; touchedList holds their indices in charge order.
+	touched     []bool
+	touchedList []int
+	// totalLoad is the running Σ over load, maintained at the charge
+	// site in charge order.
 	totalLoad float64
 	// sends counts routed transfers (unicasts plus multicast legs) since
 	// the last Reset.
 	sends int
+	// names caches each link's counter name, formatted on its first
+	// emission.
+	names []string
 
 	// dead marks directed links that are down; routing detours around
-	// them. slow maps directed links to a capacity factor in (0, 1).
-	dead map[linkKey]bool
-	slow map[linkKey]float64
+	// them. slow holds a directed link's capacity factor in (0, 1], or 0
+	// at full speed. Both stay nil until the first fault; nDead and
+	// nSlow count the directed links they mark.
+	dead         []bool
+	slow         []float64
+	nDead, nSlow int
 }
 
-type linkKey struct {
-	from Coord
-	dir  byte // 'E','W','N','S'
-}
+// Link directions, numbered in the byte order of their labels (E, L, N,
+// S, W; L is a PE's loopback port). A directed link's index is
+// router*numDirs + direction with routers row-major, so ascending index
+// order is (y, x, label) order.
+const (
+	dirE = iota
+	dirL
+	dirN
+	dirS
+	dirW
+	numDirs
+)
+
+const dirLabels = "ELNSW"
 
 // NewMesh creates a mesh with the given dimensions and link capacity.
 func NewMesh(w, h int, linkBytesPerCycle float64, hopLatency int) (*Mesh, error) {
@@ -72,9 +89,14 @@ func NewMesh(w, h int, linkBytesPerCycle float64, hopLatency int) (*Mesh, error)
 		W: w, H: h,
 		LinkBytesPerCycle: linkBytesPerCycle,
 		HopLatency:        hopLatency,
-		linkLoad:          make(map[linkKey]float64),
+		load:              make([]float64, w*h*numDirs),
+		touched:           make([]bool, w*h*numDirs),
 	}, nil
 }
+
+// link is the index of the directed link leaving router c in direction
+// dir.
+func (m *Mesh) link(c Coord, dir int) int { return (c.Y*m.W+c.X)*numDirs + dir }
 
 // PEIndex maps a linear PE id (row-major) to its coordinate.
 func (m *Mesh) PEIndex(id int) Coord {
@@ -86,13 +108,13 @@ func (m *Mesh) Contains(c Coord) bool {
 	return c.X >= 0 && c.X < m.W && c.Y >= 0 && c.Y < m.H
 }
 
-// step offsets in the deterministic neighbour order used by both the
-// fault-free X-Y router and the BFS detour router.
+// step offsets in the deterministic neighbour order used by the BFS
+// detour router, with each direction's reverse.
 var dirs = []struct {
-	dx, dy int
-	dir    byte
+	dx, dy   int
+	dir, rev int
 }{
-	{1, 0, 'E'}, {-1, 0, 'W'}, {0, 1, 'S'}, {0, -1, 'N'},
+	{1, 0, dirE, dirW}, {-1, 0, dirW, dirE}, {0, 1, dirS, dirN}, {0, -1, dirN, dirS},
 }
 
 // DisableLink marks the physical link leaving from in direction dir as
@@ -105,10 +127,14 @@ func (m *Mesh) DisableLink(from Coord, dir byte) error {
 		return err
 	}
 	if m.dead == nil {
-		m.dead = make(map[linkKey]bool)
+		m.dead = make([]bool, len(m.load))
 	}
-	m.dead[k] = true
-	m.dead[rev] = true
+	for _, i := range [2]int{k, rev} {
+		if !m.dead[i] {
+			m.dead[i] = true
+			m.nDead++
+		}
+	}
 	return nil
 }
 
@@ -123,41 +149,49 @@ func (m *Mesh) SlowLink(from Coord, dir byte, factor float64) error {
 		return err
 	}
 	if m.slow == nil {
-		m.slow = make(map[linkKey]float64)
+		m.slow = make([]float64, len(m.load))
 	}
-	m.slow[k] = factor
-	m.slow[rev] = factor
+	for _, i := range [2]int{k, rev} {
+		if m.slow[i] == 0 {
+			m.nSlow++
+		}
+		m.slow[i] = factor
+	}
 	return nil
 }
 
 // linkPair validates a (coord, direction) link reference and returns the
-// directed key plus its reverse.
-func (m *Mesh) linkPair(from Coord, dir byte) (linkKey, linkKey, error) {
+// directed link's index plus its reverse's.
+func (m *Mesh) linkPair(from Coord, dir byte) (int, int, error) {
 	if !m.Contains(from) {
-		return linkKey{}, linkKey{}, fmt.Errorf("noc: link source %v outside %dx%d mesh", from, m.W, m.H)
+		return 0, 0, fmt.Errorf("noc: link source %v outside %dx%d mesh", from, m.W, m.H)
 	}
 	for _, d := range dirs {
-		if d.dir != dir {
+		if dirLabels[d.dir] != dir {
 			continue
 		}
 		to := Coord{X: from.X + d.dx, Y: from.Y + d.dy}
 		if !m.Contains(to) {
-			return linkKey{}, linkKey{}, fmt.Errorf("noc: no %c link at %v (mesh edge)", dir, from)
+			return 0, 0, fmt.Errorf("noc: no %c link at %v (mesh edge)", dir, from)
 		}
-		rev, err := linkOf(to, from)
-		if err != nil {
-			return linkKey{}, linkKey{}, err
-		}
-		return linkKey{from, dir}, rev, nil
+		return m.link(from, d.dir), m.link(to, d.rev), nil
 	}
-	return linkKey{}, linkKey{}, fmt.Errorf("noc: unknown link direction %q", string(dir))
+	return 0, 0, fmt.Errorf("noc: unknown link direction %q", string(dir))
 }
 
 // DeadLinks returns the number of disabled physical links (undirected).
-func (m *Mesh) DeadLinks() int { return len(m.dead) / 2 }
+func (m *Mesh) DeadLinks() int { return m.nDead / 2 }
 
 // SlowLinks returns the number of slowed physical links (undirected).
-func (m *Mesh) SlowLinks() int { return len(m.slow) / 2 }
+func (m *Mesh) SlowLinks() int { return m.nSlow / 2 }
+
+// checkEndpoints rejects a route whose endpoints lie outside the mesh.
+func (m *Mesh) checkEndpoints(src, dst Coord) error {
+	if !m.Contains(src) || !m.Contains(dst) {
+		return fmt.Errorf("noc: route endpoints out of %dx%d mesh: %v -> %v", m.W, m.H, src, dst)
+	}
+	return nil
+}
 
 // Route returns a path from src to dst, excluding src, including dst.
 // With a healthy mesh this is the X-Y (dimension-ordered) route; with
@@ -166,36 +200,41 @@ func (m *Mesh) SlowLinks() int { return len(m.slow) / 2 }
 // when dead links partition src from dst, and a validation error when an
 // endpoint lies outside the mesh.
 func (m *Mesh) Route(src, dst Coord) ([]Coord, error) {
-	if !m.Contains(src) || !m.Contains(dst) {
-		return nil, fmt.Errorf("noc: route endpoints out of %dx%d mesh: %v -> %v", m.W, m.H, src, dst)
+	if err := m.checkEndpoints(src, dst); err != nil {
+		return nil, err
 	}
-	if len(m.dead) == 0 {
-		return m.routeXY(src, dst), nil
+	if m.nDead > 0 {
+		return m.routeAvoiding(src, dst)
 	}
-	return m.routeAvoiding(src, dst)
+	var path []Coord
+	for cur := src; ; {
+		if _, ok := stepXY(&cur, dst); !ok {
+			return path, nil
+		}
+		path = append(path, cur)
+	}
 }
 
-// routeXY is the dimension-ordered route of the healthy mesh.
-func (m *Mesh) routeXY(src, dst Coord) []Coord {
-	var path []Coord
-	cur := src
-	for cur.X != dst.X {
-		if dst.X > cur.X {
-			cur.X++
-		} else {
-			cur.X--
-		}
-		path = append(path, cur)
+// stepXY advances cur one hop along the dimension-ordered (X, then Y)
+// route toward dst and returns the direction of the link it crossed; ok
+// is false once cur is dst. Route and Send both walk with it, so the
+// healthy mesh has a single routing rule.
+func stepXY(cur *Coord, dst Coord) (dir int, ok bool) {
+	switch {
+	case cur.X < dst.X:
+		cur.X++
+		return dirE, true
+	case cur.X > dst.X:
+		cur.X--
+		return dirW, true
+	case cur.Y < dst.Y:
+		cur.Y++
+		return dirS, true
+	case cur.Y > dst.Y:
+		cur.Y--
+		return dirN, true
 	}
-	for cur.Y != dst.Y {
-		if dst.Y > cur.Y {
-			cur.Y++
-		} else {
-			cur.Y--
-		}
-		path = append(path, cur)
-	}
-	return path
+	return 0, false
 }
 
 // routeAvoiding finds the shortest path that skips dead links. BFS with a
@@ -212,7 +251,7 @@ func (m *Mesh) routeAvoiding(src, dst Coord) ([]Coord, error) {
 		queue = queue[1:]
 		for _, d := range dirs {
 			next := Coord{X: cur.X + d.dx, Y: cur.Y + d.dy}
-			if !m.Contains(next) || m.dead[linkKey{cur, d.dir}] {
+			if !m.Contains(next) || m.dead[m.link(cur, d.dir)] {
 				continue
 			}
 			if _, seen := prev[next]; seen {
@@ -249,32 +288,57 @@ func (m *Mesh) Hops(src, dst Coord) int {
 	return dx + dy
 }
 
+// charge adds bytes to link i.
+func (m *Mesh) charge(i int, bytes float64) {
+	if !m.touched[i] {
+		m.touched[i] = true
+		m.touchedList = append(m.touchedList, i)
+	}
+	m.load[i] += bytes
+	m.totalLoad += bytes
+}
+
 // Send accumulates a unicast transfer of the given bytes along the routed
 // path and returns the head latency in cycles. A co-located transfer
 // (src == dst, operators time-sharing one PE) is not free: the handoff
 // serialises through the PE's local port at link bandwidth, modeled as a
 // loopback link — without this, packing more operators onto fewer
-// surviving PEs under row faults makes traffic evaporate.
+// surviving PEs under row faults makes traffic evaporate. On a healthy
+// mesh the links are charged during the X-Y walk, without building the
+// path.
 func (m *Mesh) Send(src, dst Coord, bytes float64) (int, error) {
-	path, err := m.Route(src, dst)
-	if err != nil {
+	if err := m.checkEndpoints(src, dst); err != nil {
 		return 0, err
 	}
 	if src == dst {
 		m.sends++
-		m.linkLoad[linkKey{src, 'L'}] += bytes
-		m.totalLoad += bytes
+		m.charge(m.link(src, dirL), bytes)
 		return 0, nil
+	}
+	if m.nDead == 0 {
+		m.sends++
+		hops := 0
+		for cur := src; ; hops++ {
+			from := cur
+			dir, ok := stepXY(&cur, dst)
+			if !ok {
+				return hops * m.HopLatency, nil
+			}
+			m.charge(m.link(from, dir), bytes)
+		}
+	}
+	path, err := m.routeAvoiding(src, dst)
+	if err != nil {
+		return 0, err
 	}
 	m.sends++
 	prev := src
 	for _, next := range path {
-		k, err := linkOf(prev, next)
+		dir, err := hopDir(prev, next)
 		if err != nil {
 			return 0, err
 		}
-		m.linkLoad[k] += bytes
-		m.totalLoad += bytes
+		m.charge(m.link(prev, dir), bytes)
 		prev = next
 	}
 	return len(path) * m.HopLatency, nil
@@ -284,7 +348,7 @@ func (m *Mesh) Send(src, dst Coord, bytes float64) (int, error) {
 // prefixes of the routes carry the payload once (§IV-A's multicast
 // support). Returns the worst-case head latency.
 func (m *Mesh) Multicast(src Coord, dsts []Coord, bytes float64) (int, error) {
-	charged := make(map[linkKey]bool)
+	charged := make([]bool, len(m.load))
 	worst := 0
 	m.sends += len(dsts)
 	for _, dst := range dsts {
@@ -294,14 +358,13 @@ func (m *Mesh) Multicast(src Coord, dsts []Coord, bytes float64) (int, error) {
 		}
 		prev := src
 		for _, next := range path {
-			k, err := linkOf(prev, next)
+			dir, err := hopDir(prev, next)
 			if err != nil {
 				return 0, err
 			}
-			if !charged[k] {
-				charged[k] = true
-				m.linkLoad[k] += bytes
-				m.totalLoad += bytes
+			if i := m.link(prev, dir); !charged[i] {
+				charged[i] = true
+				m.charge(i, bytes)
 			}
 			prev = next
 		}
@@ -312,20 +375,20 @@ func (m *Mesh) Multicast(src Coord, dsts []Coord, bytes float64) (int, error) {
 	return worst, nil
 }
 
-// linkOf returns the directed link key between two adjacent routers, or
-// an error for a non-adjacent pair (a malformed path).
-func linkOf(from, to Coord) (linkKey, error) {
+// hopDir returns the direction of the link between two adjacent routers,
+// or an error for a non-adjacent pair (a malformed path).
+func hopDir(from, to Coord) (int, error) {
 	switch {
 	case to.X == from.X+1 && to.Y == from.Y:
-		return linkKey{from, 'E'}, nil
+		return dirE, nil
 	case to.X == from.X-1 && to.Y == from.Y:
-		return linkKey{from, 'W'}, nil
+		return dirW, nil
 	case to.Y == from.Y+1 && to.X == from.X:
-		return linkKey{from, 'S'}, nil
+		return dirS, nil
 	case to.Y == from.Y-1 && to.X == from.X:
-		return linkKey{from, 'N'}, nil
+		return dirN, nil
 	}
-	return linkKey{}, fmt.Errorf("noc: non-adjacent hop %v -> %v", from, to)
+	return 0, fmt.Errorf("noc: non-adjacent hop %v -> %v", from, to)
 }
 
 // DrainCycles returns the cycles needed to drain the accumulated traffic:
@@ -334,12 +397,12 @@ func linkOf(from, to Coord) (linkKey, error) {
 // reduced capacity.
 func (m *Mesh) DrainCycles() float64 {
 	var worst float64
-	for k, load := range m.linkLoad {
+	for _, i := range m.touchedList {
 		cap := m.LinkBytesPerCycle
-		if f, ok := m.slow[k]; ok {
-			cap *= f
+		if m.slow != nil && m.slow[i] != 0 {
+			cap *= m.slow[i]
 		}
-		if c := load / cap; c > worst {
+		if c := m.load[i] / cap; c > worst {
 			worst = c
 		}
 	}
@@ -368,7 +431,11 @@ func (m *Mesh) numLinks() int {
 
 // Reset clears accumulated loads, keeping any link-fault state.
 func (m *Mesh) Reset() {
-	m.linkLoad = make(map[linkKey]float64)
+	for _, i := range m.touchedList {
+		m.load[i] = 0
+		m.touched[i] = false
+	}
+	m.touchedList = m.touchedList[:0]
 	m.totalLoad = 0
 	m.sends = 0
 }
@@ -378,34 +445,28 @@ func (m *Mesh) Sends() int { return m.sends }
 
 // EmitCounters adds the accumulated per-link occupancy (bytes routed over
 // each directed link since the last Reset) plus aggregate routing
-// counters to the collector. Links walk in a sorted (y, x, direction)
-// order so repeated emissions are deterministic. Call before Reset; loads
-// are deltas, so emitting once per drained window accumulates correctly.
+// counters to the collector. Links are emitted in index order, which is
+// (y, x, direction) order, so repeated emissions are deterministic. Call
+// before Reset; loads are deltas, so emitting once per drained window
+// accumulates correctly.
 func (m *Mesh) EmitCounters(c *telemetry.Collector) {
 	if !c.Enabled() {
 		return
 	}
-	keys := make([]linkKey, 0, len(m.linkLoad))
-	for k := range m.linkLoad {
-		keys = append(keys, k)
+	if m.names == nil {
+		m.names = make([]string, len(m.load))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from.Y != b.from.Y {
-			return a.from.Y < b.from.Y
-		}
-		if a.from.X != b.from.X {
-			return a.from.X < b.from.X
-		}
-		return a.dir < b.dir
-	})
-	// Sum bytes×hops over the sorted keys, not via TotalBytesHops: map
-	// iteration order would perturb the float sum's last bits and break
-	// the byte-identical trace guarantee.
 	var bytesHops float64
-	for _, k := range keys {
-		c.EmitCounter(fmt.Sprintf("noc/link/%d,%d/%c", k.from.X, k.from.Y, k.dir), m.linkLoad[k])
-		bytesHops += m.linkLoad[k]
+	for i, load := range m.load {
+		if !m.touched[i] {
+			continue
+		}
+		if m.names[i] == "" {
+			r := i / numDirs
+			m.names[i] = fmt.Sprintf("noc/link/%d,%d/%c", r%m.W, r/m.W, dirLabels[i%numDirs])
+		}
+		c.EmitCounter(m.names[i], load)
+		bytesHops += load
 	}
 	c.EmitCounter("noc/bytes_hops", bytesHops)
 	c.EmitCounter("noc/sends", float64(m.sends))

@@ -165,14 +165,14 @@ func TestRouteOutsideMeshIsError(t *testing.T) {
 }
 
 func TestLinkOfNonAdjacentIsError(t *testing.T) {
-	if _, err := linkOf(Coord{0, 0}, Coord{2, 0}); err == nil {
+	if _, err := hopDir(Coord{0, 0}, Coord{2, 0}); err == nil {
 		t.Fatal("non-adjacent pair should return an error")
 	}
-	if _, err := linkOf(Coord{0, 0}, Coord{1, 1}); err == nil {
+	if _, err := hopDir(Coord{0, 0}, Coord{1, 1}); err == nil {
 		t.Fatal("diagonal pair should return an error")
 	}
-	if k, err := linkOf(Coord{0, 0}, Coord{1, 0}); err != nil || k.dir != 'E' {
-		t.Fatalf("adjacent pair: key %v err %v", k, err)
+	if d, err := hopDir(Coord{0, 0}, Coord{1, 0}); err != nil || dirLabels[d] != 'E' {
+		t.Fatalf("adjacent pair: direction %d err %v", d, err)
 	}
 }
 

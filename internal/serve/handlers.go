@@ -110,8 +110,9 @@ func (resp *ScheduleResponse) fillSummary(sum crophe.ScheduleSummary) {
 }
 
 // handleSimulate schedules and then runs the cycle-level simulator,
-// accumulating the run's model counters into the server's telemetry
-// collector (surfaced at /debug/vars).
+// accumulating the run's model counters into the server's counters-only
+// telemetry collector (surfaced at /debug/vars); no spans are built or
+// kept.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
 	if err := decodeJSON(r, &req); err != nil {

@@ -169,7 +169,7 @@ type Server struct {
 	cfg     Config
 	queue   *parallel.Queue
 	metrics metrics
-	tel     *telemetry.Collector
+	tel     *telemetry.Collector // counters-only: /debug/vars reads counters
 	jobs    *jobManager
 	coord   *coordinator // non-nil only for Role "coordinator"
 
@@ -202,7 +202,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		queue:      parallel.NewSharedQueue(cfg.Workers),
-		tel:        telemetry.New(),
+		tel:        telemetry.NewCounters(),
 		jitterRand: rand.New(rand.NewSource(cfg.RetryJitterSeed)),
 	}
 	s.jobs = newJobManager(cfg.CheckpointDir)

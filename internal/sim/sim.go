@@ -14,8 +14,10 @@
 //
 // With a telemetry collector attached, the simulator records one span per
 // segment, group, and transfer (exportable as a Chrome trace via
-// telemetry.Collector.ChromeTrace) plus resource counters; without one,
-// every emission site is guarded by Collector.Enabled and costs nothing.
+// telemetry.Collector.ChromeTrace) plus resource counters. Span emission
+// is guarded by Collector.Tracing and counter emission by
+// Collector.Enabled, so a counters-only collector (telemetry.NewCounters)
+// pays for counters alone and no collector costs nothing.
 package sim
 
 import (
@@ -57,8 +59,10 @@ type Result struct {
 	// PerSegment carries per-unique-segment cycle counts in workload
 	// (execution) order.
 	PerSegment []SegmentCycles
-	// Counters is the snapshot of telemetry counters accumulated during
-	// the run (nil when the engine has no collector attached).
+	// Counters is a snapshot of the attached collector's counters, taken
+	// at the end of the run (nil when the engine has no collector). The
+	// collector is cumulative: on a collector shared across runs, as in
+	// crophe-serve, the snapshot includes every earlier run's counters.
 	Counters []telemetry.Counter
 	// Integrity is the priced silent-data-corruption recovery outcome
 	// (nil unless the fault plan injects bit-flips); its cycle penalty is
@@ -81,8 +85,9 @@ func (r *Result) SegmentCycles(name string) (float64, bool) {
 type Option func(*Engine)
 
 // WithTelemetry attaches a collector; the simulation emits span events
-// (per segment, group, and transfer) and resource counters into it. A nil
-// collector leaves telemetry disabled.
+// (per segment, group, and transfer) and resource counters into it. A
+// counters-only collector receives the counters alone; a nil collector
+// leaves telemetry disabled.
 func WithTelemetry(c *telemetry.Collector) Option {
 	return func(e *Engine) { e.tel = c }
 }
@@ -213,18 +218,22 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 	// trace timeline (one execution per unique segment).
 	var cursor float64
 	var nGroups, nTransfers int
+	// One mesh serves every group: each group starts from a Reset, which
+	// keeps the link faults and the formatted counter names.
+	var mesh *noc.Mesh
 
 	for si, seg := range s.Segments {
 		if len(seg.Groups) == 0 {
 			continue
 		}
-		mesh, err := noc.NewMesh(meshW, meshH, linkBytesPerCycle, 1)
-		if err != nil {
-			return nil, err
-		}
-		if e.faults != nil {
-			if err := e.faults.ApplyToMesh(mesh); err != nil {
+		if mesh == nil {
+			if mesh, err = noc.NewMesh(meshW, meshH, linkBytesPerCycle, 1); err != nil {
 				return nil, err
+			}
+			if e.faults != nil {
+				if err := e.faults.ApplyToMesh(mesh); err != nil {
+					return nil, err
+				}
 			}
 		}
 		trace, err := mapper.BuildTraceAvoiding(&s.Segments[si], hw.WordBytes(), meshW, meshH, failedRows)
@@ -239,7 +248,6 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			tg := &trace.Groups[gi]
 			g := tg.Group
 			groupStart := segStart + segCycles
-			groupName := fmt.Sprintf("%s/g%d", seg.Name, gi)
 			nGroups++
 
 			// Compute cycles from the pre-characterised operator
@@ -272,14 +280,14 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 					}
 					lat, err := mesh.Send(src, dst, share)
 					if err != nil {
-						return nil, fmt.Errorf("sim: %s transfer %d→%d: %w",
-							groupName, tr.FromID, tr.ToID, err)
+						return nil, fmt.Errorf("sim: %s/g%d transfer %d→%d: %w",
+							seg.Name, gi, tr.FromID, tr.ToID, err)
 					}
 					if lat > headLatency {
 						headLatency = lat
 					}
 				}
-				if tel.Enabled() {
+				if tel.Tracing() {
 					tel.EmitSpan("NoC", "transfers",
 						fmt.Sprintf("%d→%d", tr.FromID, tr.ToID),
 						groupStart, share/linkBytesPerCycle,
@@ -310,10 +318,11 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			busySRAM += sramCycles
 			busyDRAM += dramCycles
 
-			if tel.Enabled() {
+			if tel.Tracing() {
 				// Aggregate lanes carry exactly the cycles added to the
 				// busy accumulators, so Σ span durations per track
 				// reconciles with Result.Util (see sim tests).
+				groupName := fmt.Sprintf("%s/g%d", seg.Name, gi)
 				tel.EmitSpan("PE", "array", groupName, groupStart, computeCycles,
 					telemetry.Arg{Key: "ops", Value: float64(len(g.Nodes))})
 				for _, b := range tg.Placement.Bands {
@@ -339,8 +348,8 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 					tel.EmitSpan("HBM", "channels", groupName, groupStart, dramCycles,
 						telemetry.Arg{Key: "bytes", Value: g.Traffic.DRAM})
 				}
-				mesh.EmitCounters(tel)
 			}
+			mesh.EmitCounters(tel)
 		}
 
 		// Segment-level traffic (aux streams, boundary pipelining,
@@ -369,7 +378,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 		busyDRAM += extraDRAM
 		busySRAM += extraSRAM
 
-		if tel.Enabled() {
+		if tel.Tracing() {
 			if extraDRAM > 0 {
 				tel.EmitSpan("HBM", "channels", seg.Name+"/aux", segStart, extraDRAM,
 					telemetry.Arg{Key: "bytes", Value: maxF(extra.DRAM, 0)})
@@ -427,11 +436,14 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 		sram.EmitCounters(tel)
 		if e.faults != nil {
 			e.faults.EmitCounters(tel)
-			// Plan-summary span covering the whole run, so the Fault track
-			// exists in every degraded trace even when no stall fired.
-			tel.EmitSpan("Fault", "plan", e.faults.Plan.Spec.String(), 0, res.Cycles,
-				telemetry.Arg{Key: "seed", Value: float64(e.faults.Plan.Seed)},
-				telemetry.Arg{Key: "faults", Value: float64(e.faults.Plan.FaultCount())})
+			if tel.Tracing() {
+				// Plan-summary span covering the whole run, so the Fault
+				// track exists in every degraded trace even when no stall
+				// fired.
+				tel.EmitSpan("Fault", "plan", e.faults.Plan.Spec.String(), 0, res.Cycles,
+					telemetry.Arg{Key: "seed", Value: float64(e.faults.Plan.Seed)},
+					telemetry.Arg{Key: "faults", Value: float64(e.faults.Plan.FaultCount())})
+			}
 			if stalls != nil {
 				n, cycles := stalls.Injected()
 				tel.EmitCounter("fault/stalls_injected", float64(n))
@@ -439,9 +451,11 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			}
 			if res.Integrity != nil {
 				res.Integrity.EmitCounters(tel)
-				tel.EmitSpan("Fault", "sdc", "recovery", 0, res.Integrity.PenaltyCycles(),
-					telemetry.Arg{Key: "detected", Value: res.Integrity.Detected},
-					telemetry.Arg{Key: "recomputed", Value: res.Integrity.Recomputed})
+				if tel.Tracing() {
+					tel.EmitSpan("Fault", "sdc", "recovery", 0, res.Integrity.PenaltyCycles(),
+						telemetry.Arg{Key: "detected", Value: res.Integrity.Detected},
+						telemetry.Arg{Key: "recomputed", Value: res.Integrity.Recomputed})
+				}
 			}
 		}
 		tel.EmitCounter("sim/segments", float64(len(res.PerSegment)))

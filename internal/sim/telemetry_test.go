@@ -234,3 +234,17 @@ func BenchmarkSimulateTraced(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulateCounters measures the counters-only path crophe-serve
+// takes: counters are kept, spans are never built.
+func BenchmarkSimulateCounters(b *testing.B) {
+	w := workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
+	s := sched.New(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE)).Run(w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tel := telemetry.NewCounters()
+		if _, err := New(arch.CROPHE64, WithTelemetry(tel)).SimulateSchedule(w, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,12 +9,17 @@
 // returns false. Hot paths must still guard emission sites with
 //
 //	if tel.Enabled() {
+//		tel.EmitCounter(...)
+//	}
+//	if tel.Tracing() {
 //		tel.EmitSpan(...)
 //	}
 //
 // so that argument construction (string formatting, slice allocation) is
-// never paid when telemetry is off — the crophe-lint `telemetryguard`
-// analyzer enforces this invariant statically.
+// never paid when telemetry is off. Tracing() is also false on an enabled
+// counters-only collector (NewCounters), which keeps counters and drops
+// spans, so span arguments are built only when the span is kept. The
+// crophe-lint `telemetryguard` analyzer enforces both guards statically.
 //
 // All times are model cycles, not wall clock: the exporter maps one cycle
 // to one trace microsecond, so Perfetto's timeline reads directly in
@@ -60,18 +65,28 @@ type Counter struct {
 }
 
 // Collector gathers spans and counters for one simulation run. The zero
-// value is not used directly; construct with New. A nil *Collector is the
-// disabled collector.
+// value is not used directly; construct with New or NewCounters. A nil
+// *Collector is the disabled collector.
 type Collector struct {
 	mu       sync.Mutex
 	spans    []Span
 	counters map[string]float64
 	timeUnit string
+	// countersOnly is fixed at construction: EmitSpan drops spans.
+	countersOnly bool
 }
 
-// New returns an enabled, empty collector.
+// New returns an enabled, empty collector that keeps spans and counters.
 func New() *Collector {
 	return &Collector{counters: make(map[string]float64)}
+}
+
+// NewCounters returns an enabled, empty collector that keeps counters and
+// drops spans: the collector for callers that only read counters, such
+// as a long-running server, whose span list would otherwise grow with
+// every run.
+func NewCounters() *Collector {
+	return &Collector{counters: make(map[string]float64), countersOnly: true}
 }
 
 // SetTimeUnit overrides the unit label written into the exported trace's
@@ -103,11 +118,16 @@ func (c *Collector) TimeUnit() string {
 // disabled; emission sites use this as their zero-cost guard.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// EmitSpan records one busy interval. Callers must guard with Enabled()
-// so span-argument construction is free when telemetry is off; the call
-// itself is also nil-safe as a second line of defence.
+// Tracing reports whether the collector keeps spans: false on a nil or
+// counters-only collector. Span emission sites use this as their guard.
+func (c *Collector) Tracing() bool { return c != nil && !c.countersOnly }
+
+// EmitSpan records one busy interval. Callers must guard with Tracing()
+// so span-argument construction is free when spans are not kept; the
+// call itself is also nil-safe, and a no-op on a counters-only
+// collector, as a second line of defence.
 func (c *Collector) EmitSpan(track, lane, name string, start, dur float64, args ...Arg) {
-	if c == nil {
+	if !c.Tracing() {
 		return
 	}
 	c.mu.Lock()
@@ -120,7 +140,7 @@ func (c *Collector) EmitSpan(track, lane, name string, start, dur float64, args 
 
 // EmitCounter accumulates delta into the named counter. Nil-safe; callers
 // must still guard with Enabled() (key construction is often the real
-// cost).
+// cost), never with Tracing(), which a counters-only collector fails.
 func (c *Collector) EmitCounter(name string, delta float64) {
 	if c == nil {
 		return

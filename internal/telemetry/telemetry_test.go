@@ -28,6 +28,33 @@ func TestNilCollectorIsDisabledAndSafe(t *testing.T) {
 	}
 }
 
+// TestCountersOnlyCollector: NewCounters is enabled but not tracing; it
+// drops spans and keeps counters, before and after Reset.
+func TestCountersOnlyCollector(t *testing.T) {
+	var disabled *Collector
+	if disabled.Tracing() {
+		t.Fatal("nil collector reports tracing")
+	}
+	if !New().Tracing() {
+		t.Fatal("full collector does not report tracing")
+	}
+	c := NewCounters()
+	if !c.Enabled() || c.Tracing() {
+		t.Fatalf("counters-only collector: Enabled %v Tracing %v, want true false", c.Enabled(), c.Tracing())
+	}
+	for round := 0; round < 2; round++ {
+		c.EmitSpan("PE", "array", "g0", 0, 10)
+		c.EmitCounter("noc/sends", 2)
+		if c.SpanCount() != 0 || len(c.Spans()) != 0 {
+			t.Fatalf("round %d: counters-only collector kept %d spans", round, c.SpanCount())
+		}
+		if v := c.Counter("noc/sends"); v != 2 {
+			t.Fatalf("round %d: counter %v want 2", round, v)
+		}
+		c.Reset()
+	}
+}
+
 func TestSpanAndCounterAccumulation(t *testing.T) {
 	c := New()
 	if !c.Enabled() {
