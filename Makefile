@@ -87,33 +87,36 @@ chaos-smoke:
 	$(GO) run ./cmd/crophe-sim -sweep 4 -seed $(CHAOS_SEED) -deadline 200ms
 
 # Serving smoke: build the real crophe-serve binary and drive it end to
-# end — health, memoized scheduling, a deadline-expiry partial, degraded
-# simulation, chaos panic isolation, a checkpointed sweep, SIGTERM
-# drain, and journal recovery across a restart. Pure Go driver, no curl.
+# end with the drill harness (scripts/drill, scenario serve) — health,
+# memoized scheduling, a deadline-expiry partial, degraded simulation,
+# chaos panic isolation, a checkpointed sweep, SIGTERM drain, and
+# journal recovery across a restart. Pure Go, no curl.
 SERVE_BIN ?= /tmp/crophe-serve-smoke
 
 serve-smoke:
 	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
-	$(GO) run ./scripts/servesmoke -bin $(SERVE_BIN)
+	$(GO) run ./scripts/drill -bin $(SERVE_BIN) serve
 
-# Cluster smoke: a real three-process cluster (coordinator + two
-# workers), a sharded resilience sweep, one worker SIGKILLed mid-shard,
-# the orphaned shard reassigned, and the merged report required to be
-# byte-identical to a fresh single-process run of the same request.
+# Cluster smoke (drill scenario cluster): a real three-process cluster
+# (coordinator + two workers), a sharded resilience sweep, one worker
+# SIGKILLed mid-shard, the orphaned shard reassigned, and the merged
+# report required to be byte-identical to a fresh single-process run of
+# the same request.
 cluster-smoke:
 	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
-	$(GO) run ./scripts/clustersmoke -bin $(SERVE_BIN)
+	$(GO) run ./scripts/drill -bin $(SERVE_BIN) cluster
 
-# Fail-over smoke: primary + standby coordinators sharing a checkpoint
-# directory under deterministic transport chaos; the primary is frozen
-# (SIGSTOP) mid-sweep, the standby promotes off the stale lease and
+# Fail-over smoke (drill scenario failover): primary + standby
+# coordinators sharing a checkpoint directory under deterministic
+# transport chaos; the primary is frozen (SIGSTOP) mid-sweep, the standby promotes off the stale lease and
 # finishes byte-identical to a single-process run, and the thawed zombie
 # primary must fence itself instead of writing to the usurped journal.
 failover-smoke:
 	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
-	$(GO) run ./scripts/failoversmoke -bin $(SERVE_BIN)
+	$(GO) run ./scripts/drill -bin $(SERVE_BIN) failover
 
-# Silent-data-corruption drill: a degraded crophe-sim run pricing the
+# Silent-data-corruption drill (drill scenario sdc, which also needs the
+# crophe-sim binary): a degraded crophe-sim run pricing the
 # detect-recompute-escalate recovery (malformed flip/scrub specs must
 # exit 2), then a sharded sweep with every coordinator→worker link
 # flipping one bit of most response bodies — the merged report must stay
@@ -124,7 +127,7 @@ SIM_BIN ?= /tmp/crophe-sim-smoke
 sdc-smoke:
 	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
 	$(GO) build -o $(SIM_BIN) ./cmd/crophe-sim
-	$(GO) run ./scripts/sdcsmoke -bin $(SERVE_BIN) -sim $(SIM_BIN)
+	$(GO) run ./scripts/drill -bin $(SERVE_BIN) -sim $(SIM_BIN) sdc
 
 clean:
 	$(GO) clean ./...

@@ -243,7 +243,7 @@ func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spe
 	ctx := context.Background()
 
 	if sweepSteps > 0 {
-		sw, err := fault.Sweep(hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, w))
+		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, w), fault.WithParallel())
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -353,11 +354,11 @@ func TestSweepDeterministicAndMonotone(t *testing.T) {
 		score := float64(eff.NumPEs*eff.Lanes) * eff.DRAMBandwidthTBs * eff.SRAMBandwidthTBs
 		return Outcome{TimeSec: 1e15 / score}, nil
 	}
-	a, err := Sweep(arch.CROPHE64, 99, 6, runner)
+	a, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner, WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(arch.CROPHE64, 99, 6, runner)
+	b, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner, WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

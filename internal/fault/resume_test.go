@@ -21,16 +21,16 @@ func fakeRunner(m *Machine) (Outcome, error) {
 func TestResumeSweepMatchesSweep(t *testing.T) {
 	leakcheck.Check(t)
 	const seed, steps = 17, 5
-	want, err := Sweep(arch.CROPHE64, seed, steps, fakeRunner)
+	want, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, fakeRunner, WithParallel())
 	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+		t.Fatalf("parallel sweep: %v", err)
 	}
-	got, err := ResumeSweep(context.Background(), arch.CROPHE64, seed, steps, fakeRunner, nil, nil)
+	got, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, fakeRunner)
 	if err != nil {
-		t.Fatalf("ResumeSweep: %v", err)
+		t.Fatalf("sequential sweep: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("ResumeSweep differs from Sweep:\n got %+v\nwant %+v", got, want)
+		t.Errorf("sequential sweep differs from parallel:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestResumeSweepMatchesSweep(t *testing.T) {
 func TestResumeSweepSkipsDoneSteps(t *testing.T) {
 	leakcheck.Check(t)
 	const seed, steps = 23, 6
-	full, err := ResumeSweep(context.Background(), arch.CROPHE64, seed, steps, fakeRunner, nil, nil)
+	full, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, fakeRunner)
 	if err != nil {
 		t.Fatalf("uninterrupted sweep: %v", err)
 	}
@@ -56,8 +56,8 @@ func TestResumeSweepSkipsDoneSteps(t *testing.T) {
 		return fakeRunner(m)
 	}
 	var observed []int
-	resumed, err := ResumeSweep(context.Background(), arch.CROPHE64, seed, steps, counting, done,
-		func(pt SweepPoint) { observed = append(observed, pt.Step) })
+	resumed, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, counting, WithResume(done),
+		WithJournal(func(pt SweepPoint) { observed = append(observed, pt.Step) }))
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -84,12 +84,12 @@ func TestResumeSweepStopsBetweenRungs(t *testing.T) {
 	runner := func(m *Machine) (Outcome, error) {
 		return fakeRunner(m)
 	}
-	_, err := ResumeSweep(ctx, arch.CROPHE64, seed, steps, runner, nil, func(pt SweepPoint) {
+	_, err := RunSweep(ctx, arch.CROPHE64, seed, steps, runner, WithJournal(func(pt SweepPoint) {
 		observed = append(observed, pt)
 		if len(observed) == cancelAfter {
 			cancel()
 		}
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v, want context.Canceled", err)
 	}
@@ -103,11 +103,11 @@ func TestResumeSweepStopsBetweenRungs(t *testing.T) {
 	for _, pt := range observed {
 		done[pt.Step] = pt
 	}
-	resumed, err := ResumeSweep(context.Background(), arch.CROPHE64, seed, steps, runner, done, nil)
+	resumed, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, runner, WithResume(done))
 	if err != nil {
 		t.Fatalf("resume after cancel: %v", err)
 	}
-	full, err := ResumeSweep(context.Background(), arch.CROPHE64, seed, steps, runner, nil, nil)
+	full, err := RunSweep(context.Background(), arch.CROPHE64, seed, steps, runner)
 	if err != nil {
 		t.Fatalf("uninterrupted sweep: %v", err)
 	}

@@ -145,9 +145,8 @@ func TestRunSweepOptionValidation(t *testing.T) {
 	}
 }
 
-// TestRunSweepModesAgree: sequential (default), parallel, and the
-// deprecated wrappers all produce the identical result — the determinism
-// the distributed merge rests on.
+// TestRunSweepModesAgree: sequential (default) and parallel runs produce
+// the identical result — the determinism the distributed merge rests on.
 func TestRunSweepModesAgree(t *testing.T) {
 	leakcheck.Check(t)
 	hw := arch.CROPHE36
@@ -160,12 +159,8 @@ func TestRunSweepModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := Sweep(hw, seed, steps, shardRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) || !reflect.DeepEqual(seq, old) {
-		t.Fatal("sequential, parallel and deprecated Sweep results differ")
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("sequential and parallel results differ")
 	}
 }
 

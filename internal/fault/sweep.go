@@ -319,23 +319,6 @@ func MergeShards(steps int, shards ...*SweepResult) (*SweepResult, error) {
 	return res, nil
 }
 
-// Sweep runs a full sweep with rungs in parallel.
-//
-// Deprecated: use RunSweep with WithParallel; Sweep remains as a thin
-// wrapper for existing callers.
-func Sweep(hw *arch.HWConfig, seed int64, steps int, run Runner) (*SweepResult, error) {
-	return RunSweep(context.Background(), hw, seed, steps, run, WithParallel())
-}
-
-// ResumeSweep is the sequential, checkpointable sweep form.
-//
-// Deprecated: use RunSweep with WithResume and WithJournal; ResumeSweep
-// remains as a thin wrapper for existing callers.
-func ResumeSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run Runner,
-	done map[int]SweepPoint, observe func(SweepPoint)) (*SweepResult, error) {
-	return RunSweep(ctx, hw, seed, steps, run, WithResume(done), WithJournal(observe))
-}
-
 // runStep generates, instantiates and runs one sweep rung. Infeasible
 // machines and runner failures are recorded in the point; only
 // plan-generation bugs surface as errors.

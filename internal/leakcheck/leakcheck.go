@@ -28,13 +28,19 @@ var ignoredPrefixes = []string{
 	"crophe/internal/parallel.",
 }
 
-// snapshot counts live goroutines by creation site ("created by <func>"
-// from the stack dump), skipping the ignored origins.
+// snapshot counts live goroutines by creation site, skipping the
+// ignored origins.
 func snapshot() map[string]int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
+	return sites(string(buf[:n]))
+}
+
+// sites counts the goroutines of an all-goroutine stack dump by creation
+// site ("created by <func>"), skipping the ignored origins.
+func sites(dump string) map[string]int {
 	counts := make(map[string]int)
-	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+	for _, g := range strings.Split(dump, "\n\n") {
 		sig := ""
 		for _, line := range strings.Split(g, "\n") {
 			if rest, ok := strings.CutPrefix(line, "created by "); ok {

@@ -24,7 +24,7 @@ import (
 // journal holds exactly the completed rungs — at worst plus one torn
 // trailing line, which recovery truncates away. Because rung outcomes
 // are deterministic per (hw, seed, step, deadline bucket) — see
-// ResumeResilienceSweep — a resumed journal's remaining lines are
+// RunResilienceSweepWith — a resumed journal's remaining lines are
 // byte-identical to the ones an uninterrupted run would have written.
 //
 // Each line is framed "CCCCCCCC <json>\n" — eight lowercase hex digits

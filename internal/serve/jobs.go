@@ -154,7 +154,7 @@ func (m *jobManager) start(params sweepParams) (*job, bool, error) {
 }
 
 // launch runs the sweep in a goroutine: resolve the design inputs, open
-// the journal, and hand the rungs to ResumeResilienceSweep with an
+// the journal, and hand the rungs to RunResilienceSweepWith with an
 // observe hook that checkpoints each one before the next begins.
 func (m *jobManager) launch(j *job, doneRungs map[int]crophe.ResiliencePoint, keep int64, isNew bool) {
 	m.wg.Add(1)

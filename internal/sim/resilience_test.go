@@ -231,8 +231,8 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 	w := resilienceWorkload()
 	opt := sched.DefaultOptions(sched.DataflowCROPHE)
 	opt.SearchBudget = sched.BudgetForDeadline(200 * time.Millisecond)
-	sweep, err := fault.Sweep(arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w))
+	sweep, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
+		DegradedRunner(context.Background(), opt, w), fault.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 		prev = r
 	}
 	// Bit-determinism of the whole sweep.
-	again, err := fault.Sweep(arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w))
+	again, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
+		DegradedRunner(context.Background(), opt, w), fault.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,27 +162,3 @@ var ErrStaleResilienceShardEpoch = fault.ErrStaleShardEpoch
 func MergeResilienceShardsFenced(steps int, epoch int64, shards ...FencedResilienceShard) (*ResilienceSweep, error) {
 	return fault.MergeShardsFenced(steps, epoch, shards...)
 }
-
-// RunResilienceSweep runs a full sweep with rungs in parallel, the
-// runner bounded by ctx.
-//
-// Deprecated: use RunResilienceSweepWith (with SweepParallel for the
-// concurrent-rungs behaviour this wrapper preserves).
-func RunResilienceSweep(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration) (sw *ResilienceSweep, err error) {
-	defer recoverFaultPanic(seed, &err)
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
-	if deadline > 0 {
-		opt.SearchBudget = sched.BudgetForDeadline(deadline)
-	}
-	return fault.RunSweep(ctx, hw, seed, steps, sim.DegradedRunner(ctx, opt, w), fault.WithParallel())
-}
-
-// ResumeResilienceSweep is the crash-safe, sequential sweep form.
-//
-// Deprecated: use RunResilienceSweepWith with SweepWithResume and
-// SweepWithJournal; this wrapper preserves the old signature.
-func ResumeResilienceSweep(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
-	done map[int]ResiliencePoint, observe func(ResiliencePoint)) (*ResilienceSweep, error) {
-	return RunResilienceSweepWith(ctx, hw, w, seed, steps, deadline,
-		SweepWithResume(done), SweepWithJournal(observe))
-}
