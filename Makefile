@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels perfbench-test trace-smoke chaos-smoke serve-smoke cluster-smoke failover-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz bench bench-kernels integrity-gate perfbench-test trace-smoke chaos-smoke serve-smoke cluster-smoke failover-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -56,16 +56,11 @@ bench-kernels:
 perfbench-test:
 	cd perfbench && GOWORK=off $(GO) test ./...
 
-# Machine-readable benchmark report (fast mode) and regression diff
-# against the committed baseline.
-BASELINE ?= BENCH_2026-08-08.json
-BENCH_OUT ?= BENCH_$(shell date -u +%Y-%m-%d).json
-
-bench-json:
-	$(GO) run ./cmd/crophe-bench -fast -json -o $(BENCH_OUT)
-
-bench-diff: bench-json
-	$(GO) run ./cmd/crophe-bench diff $(BASELINE) $(BENCH_OUT)
+# The ABFT overhead gate (<=3%) on its own, without the race detector
+# (which would distort the timing): the checked four-step forward
+# transform against the unchecked one.
+integrity-gate:
+	$(GO) test -count=1 -run '^TestKernelIntegrityFast$$' ./internal/bench/
 
 # Export a Chrome trace from a bootstrapping simulation and check it is
 # well-formed, non-trivial JSON (the golden-file test pins exact bytes;

@@ -314,7 +314,7 @@ func SimulateWorkload(hw *HWConfig, w *Workload, opts ...SimOption) (*SimResult,
 }
 
 // RunExperiment regenerates a paper table or figure by id (table1..table4,
-// fig9..fig11). fast trades coverage for runtime.
+// fig9..fig11, ablations). fast trades coverage for runtime.
 func RunExperiment(id string, fast bool) (string, error) {
 	return bench.Run(id, fast)
 }

@@ -1,6 +1,7 @@
 package crophe
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -59,9 +60,9 @@ func TestFacadeSimulate(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	ids := Experiments()
-	if len(ids) != 9 {
-		t.Fatalf("experiment count %d", len(ids))
+	want := []string{"table1", "table2", "table3", "table4", "fig9", "fig10", "fig11", "ablations"}
+	if ids := Experiments(); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("experiments %v, want %v", ids, want)
 	}
 	out, err := RunExperiment("table3", true)
 	if err != nil || !strings.Contains(out, "TABLE III") {

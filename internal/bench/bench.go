@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation section. Each experiment returns structured rows and can
 // render itself as text; cmd/crophe-bench and the repository-level
-// benchmarks drive them.
+// benchmarks drive them, and golden_test.go pins their numbers.
 package bench
 
 import (
@@ -379,7 +379,7 @@ func RenderFig11(rows []Fig11Row) string {
 
 // Experiments lists the available experiment ids.
 func Experiments() []string {
-	return []string{"table1", "table2", "table3", "table4", "fig9", "fig10", "fig11", "ablations", "kernels"}
+	return []string{"table1", "table2", "table3", "table4", "fig9", "fig10", "fig11", "ablations"}
 }
 
 // Run executes an experiment by id and returns its rendered output.
@@ -405,12 +405,6 @@ func Run(id string, fast bool) (string, error) {
 		return RenderFig11(Figure11(fast)), nil
 	case "ablations":
 		return RenderAblations(Ablations()), nil
-	case "kernels":
-		rows, err := Kernels(fast)
-		if err != nil {
-			return "", err
-		}
-		return RenderKernels(rows), nil
 	}
 	return "", fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 }
@@ -426,8 +420,7 @@ type PairingSummary struct {
 
 // SpeedupSummary extracts the headline CROPHE-vs-baseline speedups from
 // Figure 9 rows. Pairings and workloads appear in row order (the paper's
-// plotting order), so consumers that emit metrics or regression-diff
-// entries see a stable sequence run to run.
+// plotting order), so consumers see a stable sequence run to run.
 func SpeedupSummary(rows []Fig9Row) []PairingSummary {
 	var out []PairingSummary
 	idx := map[string]int{}

@@ -7,8 +7,8 @@ import (
 
 // BenchmarkBatchNTT is the headline kernel-layer benchmark family: batch
 // transforms over 1/8/32 limbs at ring degrees 2^12..2^16, the shapes
-// the poly layer dispatches. The per-op numbers feed the "kernels" bench
-// experiment gated by crophe-bench diff.
+// the poly layer dispatches. Nothing gates these numbers; `make
+// bench-kernels` runs each shape once under the race detector.
 func BenchmarkBatchNTT(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
 		for _, limbs := range []int{1, 8, 32} {

@@ -57,7 +57,7 @@ func BenchmarkFourStepInverse(b *testing.B) {
 
 // BenchmarkFourStepForwardIntegrity is the ABFT-checked counterpart of
 // BenchmarkFourStepForward; the delta between the two is the integrity
-// overhead the bench-diff gate pins to ≤3%.
+// overhead that TestKernelIntegrityFast (internal/bench) gates at ≤3%.
 func BenchmarkFourStepForwardIntegrity(b *testing.B) {
 	_, fs, a := benchSetup(b, 4096)
 	dst := make([]uint64, len(a))

@@ -209,8 +209,8 @@ func TestMeshOverride(t *testing.T) {
 
 // BenchmarkSimulate measures the telemetry-disabled hot path; compare
 // with BenchmarkSimulateTraced to bound the enabled-path cost. The
-// disabled path must stay within noise of the pre-telemetry simulator
-// (gated end-to-end by `make bench-diff`).
+// disabled path must stay within noise of the pre-telemetry simulator;
+// nothing pins that budget dynamically, so compare by hand.
 func BenchmarkSimulate(b *testing.B) {
 	w := workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
 	s := sched.New(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE)).Run(w)

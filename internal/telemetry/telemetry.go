@@ -90,8 +90,9 @@ func NewCounters() *Collector {
 }
 
 // SetTimeUnit overrides the unit label written into the exported trace's
-// otherData ("cycles" by default). crophe-bench uses "ms" because its
-// experiment spans are wall clock, not model time. Nil-safe.
+// otherData ("cycles" by default). The repository benchmark's harness
+// uses "us" because its per-layer spans are wall clock, not model time.
+// Nil-safe.
 func (c *Collector) SetTimeUnit(unit string) {
 	if c == nil {
 		return
